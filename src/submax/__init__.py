@@ -9,7 +9,8 @@ exactly at small n.
 """
 
 from .errors import (ConfigError, EstimatorError, InstanceFormatError,
-                     InvalidBoxError, InvalidSubsetError, SubmaxError)
+                     InvalidBoxError, InvalidSubsetError, InvariantError,
+                     SubmaxError)
 from .setfn import (Coverage, DirectedCut, EstimatorConfig, ExplicitTable,
                     GroundSet, Point, SetFunction, default_config, eval_set,
                     gradient, max_singleton, multilinear, multilinear_batch,
@@ -35,8 +36,8 @@ __all__ = [
     "ConfigError", "Coverage", "DiagnosticRecord", "DirectedCut",
     "EstimatorConfig", "EstimatorError", "ExplicitTable", "GroundSet",
     "InstanceFile", "InstanceFormatError", "InvalidBoxError",
-    "InvalidSubsetError", "KnapsackPolytope", "PartitionMatroidPolytope",
-    "Point", "Polytope", "ResultRecord", "RunConfig", "SetFunction",
+    "InvalidSubsetError", "InvariantError", "KnapsackPolytope",
+    "PartitionMatroidPolytope", "Point", "Polytope", "ResultRecord", "RunConfig", "SetFunction",
     "SolveReport", "SubmaxError", "ThetaResult", "Trajectory",
     "best_bound_theta", "brute_force_box_opt", "brute_force_opt",
     "check_x_or_opt", "compute_bound", "dampened_stage", "default_config",

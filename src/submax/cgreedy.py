@@ -16,7 +16,14 @@ The cap slows the growth of ||x||_inf, so the discrete envelopes
                               * (1 - delta)^((t-theta)/delta)
 
 hold at every step by construction; they are asserted during the run, as is
-membership of every iterate in the constraint body.
+membership of every iterate in the constraint body, and a violation raises
+``InvariantError``.
+
+Every x(theta) lies on the same capped trajectory, so ``solve`` walks stage
+one once and branches at each grid theta, computing one gradient per
+distinct point.  ``dampened_stage``, ``standard_stage`` and ``dg_branch``
+expose the pieces one at a time, with per-step trajectories, over the same
+step routine.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InvariantError
 from .dgbox import BoxInstance, double_greedy_box
 from .polytope import CapParam, Polytope
 from .setfn import (EstimatorConfig, Point, SetFunction, default_config,
@@ -107,35 +114,107 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.times)
 
+    def add(self, time: float, x: np.ndarray, g: np.ndarray, v: Point) -> None:
+        self.times.append(time)
+        self.points.append(Point.trusted(x))
+        self.directions.append(v)
+        self.inner_products.append(float(g @ v.v))
 
-def _advance(f: SetFunction, C: Polytope, run: RunConfig, x: np.ndarray,
-             first_step: int, last_step: int, cap_alpha: float,
-             env_start: float, env_factor: float, stream_label: int):
-    """Euler steps first_step..last_step-1 at cap cap_alpha; enforces the
-    envelope (starting value env_start, per-step factor env_factor) and
-    feasibility after every update."""
-    cfg = run.resolve_cfg(f)
-    cap = CapParam(cap_alpha)
-    traj = Trajectory()
-    env = env_start
-    for j in range(first_step, last_step):
-        cfg_j = cfg.substream(stream_label, j) if cfg.mode == "mc" else cfg
-        g = residual_gradient(f, x, cfg_j)
-        vp = C.linear_maximize(g, cap)
-        traj.times.append(j * run.delta)
-        traj.points.append(Point.trusted(x))
-        traj.directions.append(vp)
-        traj.inner_products.append(float(g @ vp.v))
-        x = x + run.delta * vp.v * (1.0 - x)
-        env *= env_factor
-        margin = float(np.min((1.0 - x) - env))
-        traj.min_envelope_margin = min(traj.min_envelope_margin, margin)
-        if margin < -ENV_TOL:
-            raise RuntimeError(
-                f"l-inf envelope violated at step {j + 1} (margin {margin:.3e})")
-        if not C.contains_point(x):
-            raise RuntimeError(f"iterate left the constraint body at step {j + 1}")
-    return x, traj
+
+def _stage_one_label(run: RunConfig) -> int:
+    """MC sub-stream label of stage one's gradients.  Stage two at theta
+    labels step j (k_theta, j) with k_theta <= total_steps, so this label
+    never collides with it and does not depend on theta."""
+    return run.total_steps + 1
+
+
+def _direction(f: SetFunction, C: Polytope, cfg: EstimatorConfig,
+               x: np.ndarray, cap: CapParam, label: int, j: int):
+    """The residual gradient at x (in mc mode drawn from sub-stream
+    (label, j)) and the oracle direction it selects under ``cap``."""
+    cfg_j = cfg.substream(label, j) if cfg.mode == "mc" else cfg
+    g = residual_gradient(f, x, cfg_j)
+    return g, C.linear_maximize(g, cap)
+
+
+def _step(C: Polytope, run: RunConfig, x: np.ndarray, v: Point, env: float,
+          theta: float, j: int):
+    """Euler step j -> j+1, x + delta * v o (1-x).
+
+    Asserts the l-inf envelope 1 - x >= env and membership of the new
+    iterate in C; returns the new iterate and its envelope margin.
+    """
+    x = x + run.delta * v.v * (1.0 - x)
+    slack = (1.0 - x) - env
+    i = int(np.argmin(slack))
+    margin = float(slack[i])
+    if margin < -ENV_TOL:
+        raise InvariantError("l-inf envelope violated", theta, j + 1, i, margin)
+    if not C.contains_point(x):
+        raise InvariantError("iterate left the constraint body", theta, j + 1,
+                             i, margin)
+    return x, margin
+
+
+def _stage_one(f: SetFunction, C: Polytope, run: RunConfig,
+               cfg: EstimatorConfig, thetas):
+    """Walk the capped stage once, from 0 to the step of thetas[-1].
+
+    Yields (j, x, g, v, margin) at every step j: the iterate x(j*delta), its
+    residual gradient g, the capped oracle direction v there, and the worst
+    envelope slack over steps 1..j.  A broken invariant is reported against
+    the first of the ascending ``thetas`` whose stage one takes that step.
+    """
+    cap = CapParam(run.alpha)
+    factor = 1.0 - run.delta * run.alpha
+    last = run.steps_of(thetas[-1])
+    targets = iter(thetas)
+    theta = next(targets)
+    x, env, margin = np.zeros(f.n), 1.0, np.inf
+    for j in range(last + 1):
+        g, v = _direction(f, C, cfg, x, cap, _stage_one_label(run), j)
+        yield j, x, g, v, margin
+        if j == last:
+            return
+        while run.steps_of(theta) <= j:
+            theta = next(targets)
+        env *= factor
+        x, step_margin = _step(C, run, x, v, env, theta, j)
+        margin = min(margin, step_margin)
+
+
+def _stage_two(f: SetFunction, C: Polytope, run: RunConfig,
+               cfg: EstimatorConfig, x: np.ndarray, theta: float,
+               g: np.ndarray | None, v: Point | None):
+    """Walk the uncapped stage from x = x(theta) to time 1.
+
+    (g, v) are the residual gradient and the uncapped oracle direction at
+    x(theta), which the first step reuses; every later point gets a fresh
+    gradient.  Yields (j, x, g, v, margin) before each step j, then
+    (total_steps, y(1), None, None, margin), where margin is the worst
+    envelope slack so far.
+    """
+    k = run.steps_of(theta)
+    cap = CapParam(1.0)
+    env = (1.0 - run.delta * run.alpha) ** k
+    margin = np.inf
+    for j in range(k, run.total_steps):
+        if j > k:
+            g, v = _direction(f, C, cfg, x, cap, k, j)
+        yield j, x, g, v, margin
+        env *= 1.0 - run.delta
+        x, step_margin = _step(C, run, x, v, env, theta, j)
+        margin = min(margin, step_margin)
+    yield run.total_steps, x, None, None, margin
+
+
+def _fallback(f: SetFunction, C: Polytope, cfg: EstimatorConfig,
+              g: np.ndarray):
+    """The fallback pair (p, z) from the residual gradient g at x(theta)."""
+    p = C.linear_maximize(g, CapParam(1.0))
+    box_cfg = cfg if cfg.mode != "mc" else default_config(f)
+    z = double_greedy_box(BoxInstance(f, Point.zeros(f.n), p, box_cfg))
+    return p, z
 
 
 def dampened_stage(f: SetFunction, C: Polytope, run: RunConfig, theta: float):
@@ -146,21 +225,28 @@ def dampened_stage(f: SetFunction, C: Polytope, run: RunConfig, theta: float):
     even though it is never applied as an update.
     """
     k = run.steps_of(theta)
-    x0 = np.zeros(f.n)
-    x, traj = _advance(f, C, run, x0, 0, k, run.alpha,
-                       1.0, 1.0 - run.delta * run.alpha, k)
-    g = residual_gradient(f, x, run.resolve_cfg(f))
-    v_theta = C.linear_maximize(g, CapParam(run.alpha))
-    return Point(x), v_theta, traj
+    traj = Trajectory()
+    for j, x, g, v, margin in _stage_one(f, C, run, run.resolve_cfg(f), (theta,)):
+        if j < k:
+            traj.add(j * run.delta, x, g, v)
+    traj.min_envelope_margin = margin
+    return Point(x), v, traj
 
 
 def standard_stage(f: SetFunction, C: Polytope, run: RunConfig,
                    start: Point, theta: float):
     """Continue uncapped from x(theta) until time 1; returns (y1, trajectory)."""
     k = run.steps_of(theta)
-    env_start = (1.0 - run.delta * run.alpha) ** k
-    y, traj = _advance(f, C, run, start.v.copy(), k, run.total_steps, 1.0,
-                       env_start, 1.0 - run.delta, k)
+    cfg = run.resolve_cfg(f)
+    g = v = None
+    if k < run.total_steps:
+        g, v = _direction(f, C, cfg, start.v, CapParam(1.0),
+                          _stage_one_label(run), k)
+    traj = Trajectory()
+    for j, y, g_j, v_j, margin in _stage_two(f, C, run, cfg, start.v, theta, g, v):
+        if v_j is not None:
+            traj.add(j * run.delta, y, g_j, v_j)
+    traj.min_envelope_margin = margin
     return Point(y), traj
 
 
@@ -172,11 +258,7 @@ def dg_branch(f: SetFunction, C: Polytope, x_theta: Point,
     down-closedness."""
     if cfg is None:
         cfg = default_config(f)
-    g = residual_gradient(f, x_theta, cfg)
-    p = C.linear_maximize(g, CapParam(1.0))
-    box_cfg = cfg if cfg.mode != "mc" else default_config(f)
-    z = double_greedy_box(BoxInstance(f, Point.zeros(f.n), p, box_cfg))
-    return p, z
+    return _fallback(f, C, cfg, residual_gradient(f, x_theta, cfg))
 
 
 @dataclass
@@ -255,9 +337,37 @@ def bound_diagnostics(run: RunConfig, results: list[ThetaResult],
     return out
 
 
+def _theta_result(f: SetFunction, C: Polytope, run: RunConfig,
+                  cfg: EstimatorConfig, theta: float, x: np.ndarray,
+                  g: np.ndarray, v_theta: Point, dampened_margin: float
+                  ) -> ThetaResult:
+    """Both branches at x(theta), from stage one's gradient g there and the
+    capped direction v_theta it selected."""
+    x_theta = Point(x)
+    p, z = _fallback(f, C, cfg, g)
+    for _, y, _, _, standard_margin in _stage_two(f, C, run, cfg, x_theta.v,
+                                                  theta, g, p):
+        pass
+    y1 = Point(y)
+    k = run.steps_of(theta)
+    return ThetaResult(
+        theta=theta, x_theta=x_theta, x_value=multilinear(f, x_theta, cfg),
+        y1=y1, y1_value=multilinear(f, y1, cfg),
+        p=p, z=z, z_value=multilinear(f, z, cfg),
+        final_inner=float(g @ v_theta.v),
+        dampened_steps=k, standard_steps=run.total_steps - k,
+        dampened_margin=dampened_margin, standard_margin=standard_margin)
+
+
 def solve(f: SetFunction, C: Polytope, run: RunConfig | None = None,
           opt_value: float | None = None) -> SolveReport:
     """Sweep the theta grid, run both branches, and keep the best candidate.
+
+    Every x(theta) lies on one capped trajectory, so stage one is walked
+    once, up to the largest theta, with one gradient per step.  At each grid
+    theta that gradient also gives v_theta, the fallback direction p, and
+    stage two's first direction; stage two then takes a fresh gradient only
+    at each new point.
 
     When the true integral optimum is supplied (desk-scale instances), the
     per-theta lower-bound diagnostics are evaluated and attached; they are
@@ -266,30 +376,22 @@ def solve(f: SetFunction, C: Polytope, run: RunConfig | None = None,
     if run is None:
         run = RunConfig()
     cfg = run.resolve_cfg(f)
+    per_theta: list[ThetaResult] = []
+    thetas = iter(run.theta_grid)
+    theta = next(thetas, None)
+    for j, x, g, v, margin in _stage_one(f, C, run, cfg, run.theta_grid):
+        while theta is not None and run.steps_of(theta) == j:
+            per_theta.append(_theta_result(f, C, run, cfg, theta, x, g, v, margin))
+            theta = next(thetas, None)
     best = Point.zeros(f.n)
     best_value = multilinear(f, best, cfg)
     best_theta: float | None = None
     best_branch = "origin"
-    per_theta: list[ThetaResult] = []
-    for theta in run.theta_grid:
-        x_theta, v_theta, dtraj = dampened_stage(f, C, run, theta)
-        y1, straj = standard_stage(f, C, run, x_theta, theta)
-        p, z = dg_branch(f, C, x_theta, cfg)
-        x_value = multilinear(f, x_theta, cfg)
-        y1_value = multilinear(f, y1, cfg)
-        z_value = multilinear(f, z, cfg)
-        final_inner = float(residual_gradient(f, x_theta, cfg) @ v_theta.v)
-        if y1_value > best_value:
-            best, best_value, best_theta, best_branch = y1, y1_value, theta, "greedy"
-        if z_value > best_value:
-            best, best_value, best_theta, best_branch = z, z_value, theta, "double-greedy"
-        per_theta.append(ThetaResult(
-            theta=theta, x_theta=x_theta, x_value=x_value,
-            y1=y1, y1_value=y1_value, p=p, z=z, z_value=z_value,
-            final_inner=final_inner,
-            dampened_steps=len(dtraj), standard_steps=len(straj),
-            dampened_margin=dtraj.min_envelope_margin,
-            standard_margin=straj.min_envelope_margin))
+    for r in per_theta:
+        if r.y1_value > best_value:
+            best, best_value, best_theta, best_branch = r.y1, r.y1_value, r.theta, "greedy"
+        if r.z_value > best_value:
+            best, best_value, best_theta, best_branch = r.z, r.z_value, r.theta, "double-greedy"
     report = SolveReport(best, best_value, best_theta, best_branch, per_theta)
     if opt_value is not None:
         report.diagnostics = bound_diagnostics(run, per_theta, opt_value,

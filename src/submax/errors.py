@@ -23,3 +23,20 @@ class ConfigError(SubmaxError):
 
 class InstanceFormatError(SubmaxError):
     """An instance or result document failed to parse or validate."""
+
+
+class InvariantError(SubmaxError):
+    """A solver iterate broke the l-inf envelope or left the constraint body.
+
+    ``step`` is the step whose update produced the iterate, ``coordinate``
+    the argmin of its envelope slack, and ``margin`` that slack.
+    """
+
+    def __init__(self, what: str, theta: float, step: int, coordinate: int,
+                 margin: float):
+        self.theta = theta
+        self.step = step
+        self.coordinate = coordinate
+        self.margin = margin
+        super().__init__(f"{what} at theta {theta:g}, step {step}, "
+                         f"coordinate {coordinate} (envelope margin {margin:.3e})")

@@ -129,9 +129,6 @@ class Point:
     def __invert__(self) -> "Point":
         return Point(1.0 - self.v)
 
-    def complement(self) -> "Point":
-        return ~self
-
     def __le__(self, other: "Point") -> bool:
         return bool(np.all(self.v <= other.v + COORD_TOL))
 

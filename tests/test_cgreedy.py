@@ -1,12 +1,18 @@
 """The capped/standard greedy stages, the fallback branch, and the sweep."""
 
+import dataclasses
+import zlib
+
 import numpy as np
 import pytest
 
 import submax as sm
-from submax import CapParam, ConfigError, EstimatorConfig, Point, RunConfig
+from submax import (CapParam, ConfigError, EstimatorConfig, InvariantError,
+                    Point, RunConfig, setfn)
+from submax.cli import main
 
-from helpers import random_constraint, random_coverage, random_function
+from helpers import (random_constraint, random_coverage, random_cut,
+                     random_function, random_table_function)
 
 
 @pytest.fixture
@@ -260,3 +266,169 @@ class TestSolve:
         b = sm.solve(f, C, run)
         assert a.best_value == b.best_value
         assert np.allclose(a.best.v, b.best.v)
+
+
+def _per_theta_composition(f, C, run):
+    """The sweep composed one theta at a time from the public stages: each
+    theta reruns stage one from 0 and recomputes the gradient at x(theta)
+    for v_theta, p, final_inner and stage two's first step."""
+    cfg = run.resolve_cfg(f)
+    out = []
+    for theta in run.theta_grid:
+        x_theta, v_theta, dtraj = sm.dampened_stage(f, C, run, theta)
+        y1, straj = sm.standard_stage(f, C, run, x_theta, theta)
+        p, z = sm.dg_branch(f, C, x_theta, cfg)
+        out.append(sm.ThetaResult(
+            theta=theta, x_theta=x_theta,
+            x_value=sm.multilinear(f, x_theta, cfg),
+            y1=y1, y1_value=sm.multilinear(f, y1, cfg),
+            p=p, z=z, z_value=sm.multilinear(f, z, cfg),
+            final_inner=float(sm.residual_gradient(f, x_theta, cfg) @ v_theta.v),
+            dampened_steps=len(dtraj), standard_steps=len(straj),
+            dampened_margin=dtraj.min_envelope_margin,
+            standard_margin=straj.min_envelope_margin))
+    return out
+
+
+def _bodies(rng, n):
+    half = n // 2
+    costs = 0.5 + rng.random(n)
+    return {
+        "cardinality": sm.CardinalityPolytope(n, 2),
+        "partition": sm.PartitionMatroidPolytope(
+            n, [list(range(half)), list(range(half, n))], [1, 2]),
+        "knapsack": sm.KnapsackPolytope(n, costs, 0.45 * float(costs.sum())),
+    }
+
+
+_FUNCTIONS = {"cut": random_cut, "coverage": random_coverage,
+              "table": random_table_function}
+_EQUIVALENCE_CASES = [(kind, body, mode) for kind in _FUNCTIONS
+                      for body in ("cardinality", "partition", "knapsack")
+                      for mode in ("closed", "exact")
+                      if not (kind == "table" and mode == "closed")]
+
+
+class TestSinglePassSweep:
+    @pytest.mark.parametrize("kind,body,mode", _EQUIVALENCE_CASES)
+    def test_matches_per_theta_composition(self, kind, body, mode):
+        rng = np.random.default_rng(zlib.crc32(f"{kind}/{body}".encode()))
+        f = _FUNCTIONS[kind](rng, 6)
+        C = _bodies(rng, 6)[body]
+        run = RunConfig(delta=0.05, theta_grid=tuple(np.round(
+            np.linspace(0.0, 1.0, 21), 10)), cfg=EstimatorConfig(mode=mode))
+        report = sm.solve(f, C, run)
+        expected = _per_theta_composition(f, C, run)
+        assert len(report.per_theta) == len(expected) == 21
+        for got, want in zip(report.per_theta, expected):
+            for fld in dataclasses.fields(sm.ThetaResult):
+                a, b = getattr(got, fld.name), getattr(want, fld.name)
+                if isinstance(a, Point):
+                    assert np.array_equal(a.v, b.v), (got.theta, fld.name)
+                else:
+                    assert a == b, (got.theta, fld.name)
+        best_value, best_theta, best_branch = \
+            sm.multilinear(f, Point.zeros(6), run.resolve_cfg(f)), None, "origin"
+        for r in expected:
+            if r.y1_value > best_value:
+                best_value, best_theta, best_branch = r.y1_value, r.theta, "greedy"
+            if r.z_value > best_value:
+                best_value, best_theta, best_branch = r.z_value, r.theta, "double-greedy"
+        assert (report.best_value, report.best_theta, report.best_branch) \
+            == (best_value, best_theta, best_branch)
+
+    @pytest.mark.parametrize("run,calls", [
+        (RunConfig(), 5251),
+        (RunConfig(delta=0.05, theta_grid=(0.0, 0.25, 0.5)), 53),
+    ], ids=["default", "grid-ends-before-one"])
+    def test_one_gradient_per_distinct_point(self, monkeypatch, run, calls):
+        f, C = sm.gen("coverage", 12, "knapsack", 5).build()
+        points = []
+        inner = setfn.gradient
+
+        def counted(f, x, cfg=None):
+            points.append(np.asarray(x).tobytes())
+            return inner(f, x, cfg)
+
+        monkeypatch.setattr(setfn, "gradient", counted)
+        sm.solve(f, C, run)
+        T = run.total_steps
+        steps = [run.steps_of(t) for t in run.theta_grid]
+        # (K+1) stage-one points, then T-k-1 new points per theta
+        assert (steps[-1] + 1) + sum(max(T - k - 1, 0) for k in steps) == calls
+        assert len(points) == calls
+        assert len(set(points)) == calls
+
+    def test_mc_stage_one_is_shared_across_thetas(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        f = random_cut(rng, 5)
+        C = sm.CardinalityPolytope(5, 2)
+        cfg = EstimatorConfig(mode="mc", sample_count=200, rng_seed=11)
+        run = RunConfig(delta=0.1, theta_grid=(0.0, 0.2, 0.5), cfg=cfg)
+        labels = []
+        substream = EstimatorConfig.substream
+
+        def spy(self, *label):
+            labels.append(label)
+            return substream(self, *label)
+
+        monkeypatch.setattr(EstimatorConfig, "substream", spy)
+        report = sm.solve(f, C, run)
+        # every gradient of the sweep draws from a sub-stream of its own
+        assert len(labels) == len(set(labels))
+        for r in report.per_theta:
+            x_theta, _, _ = sm.dampened_stage(f, C, run, r.theta)
+            assert np.array_equal(r.x_theta.v, x_theta.v)
+            y1, _ = sm.standard_stage(f, C, run, x_theta, r.theta)
+            assert np.array_equal(r.y1.v, y1.v)
+
+
+class _UncappedOracle(sm.CardinalityPolytope):
+    """Ignores the cap, so stage one outgrows its l-inf envelope."""
+
+    def linear_maximize(self, w, cap=CapParam(1.0)):
+        return sm.Polytope.linear_maximize(self, w, CapParam(1.0))
+
+
+class _EmptyBody(sm.CardinalityPolytope):
+    """Reports every fractional point as outside the body."""
+
+    def contains_point(self, x):
+        return False
+
+
+class TestInvariantError:
+    def test_envelope_violation_names_theta_step_and_coordinate(self):
+        f = sm.DirectedCut(2, [(0, 1, 1.0)])
+        run = RunConfig(delta=0.1, theta_grid=(0.0, 0.2))
+        with pytest.raises(InvariantError, match="envelope") as info:
+            sm.solve(f, _UncappedOracle(2, 1), run)
+        err = info.value
+        # stage one's first step moves x_0 by delta instead of delta*alpha
+        assert (err.theta, err.step, err.coordinate) == (0.2, 1, 0)
+        assert err.margin == pytest.approx(-0.05)
+        assert "theta 0.2, step 1, coordinate 0" in str(err)
+
+    def test_body_violation_names_theta_step_and_coordinate(self):
+        f = sm.DirectedCut(2, [(0, 1, 1.0)])
+        run = RunConfig(delta=0.1, theta_grid=(0.3,))
+        with pytest.raises(InvariantError, match="constraint body") as info:
+            sm.solve(f, _EmptyBody(2, 1), run)
+        err = info.value
+        assert (err.theta, err.step, err.coordinate) == (0.3, 1, 0)
+        assert err.margin == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("attr,stub", [
+        ("linear_maximize", _UncappedOracle.linear_maximize),
+        ("contains_point", _EmptyBody.contains_point),
+    ], ids=["envelope", "body"])
+    def test_cli_reports_error_and_exits_2(self, tmp_path, capsys, monkeypatch,
+                                          attr, stub):
+        inst = tmp_path / "inst.json"
+        assert main(["gen", "--kind", "directed-cut", "--n", "5",
+                     "--constraint", "cardinality", "--out", str(inst)]) == 0
+        monkeypatch.setattr(sm.CardinalityPolytope, attr, stub)
+        assert main(["solve", str(inst), "--delta", "0.25",
+                     "--theta-grid", "0,0.5", "--no-opt"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "theta" in err and "step" in err
