@@ -69,6 +69,12 @@ class InstanceFile:
         for fld in ("n", "function", "constraint"):
             if fld not in doc:
                 raise InstanceFormatError(f"missing required field {fld!r}")
+        n = doc["n"]
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise InstanceFormatError(f"field 'n' must be a positive integer, got {n!r}")
+        for fld in ("function", "constraint", "metadata"):
+            if not isinstance(doc.get(fld, {}), dict):
+                raise InstanceFormatError(f"field {fld!r} must be a JSON object")
         fk = doc["function"].get("kind")
         if fk not in FUNCTION_KINDS:
             raise InstanceFormatError(
@@ -77,7 +83,7 @@ class InstanceFile:
         if ck not in CONSTRAINT_KINDS:
             raise InstanceFormatError(
                 f"unknown constraint kind {ck!r} (schema_version {SCHEMA_VERSION})")
-        return cls(n=int(doc["n"]), function=doc["function"],
+        return cls(n=n, function=doc["function"],
                    constraint=doc["constraint"],
                    metadata=doc.get("metadata", {}),
                    schema_version=version)
@@ -94,6 +100,8 @@ class InstanceFile:
         except KeyError as e:
             raise InstanceFormatError(
                 f"function payload missing field {e.args[0]!r}") from e
+        except (TypeError, ValueError, IndexError) as e:
+            raise InstanceFormatError(f"invalid {kind} function payload: {e}") from e
 
     def build_constraint(self) -> Polytope:
         desc = self.constraint
@@ -107,6 +115,8 @@ class InstanceFile:
         except KeyError as e:
             raise InstanceFormatError(
                 f"constraint payload missing field {e.args[0]!r}") from e
+        except (TypeError, ValueError, IndexError) as e:
+            raise InstanceFormatError(f"invalid {kind} constraint payload: {e}") from e
 
     def build(self) -> tuple[SetFunction, Polytope]:
         return self.build_function(), self.build_constraint()

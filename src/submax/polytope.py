@@ -99,8 +99,8 @@ class CardinalityPolytope(Polytope):
 
     def __init__(self, ground: GroundSet | int, k: float):
         super().__init__(ground)
-        if not (k > 0):
-            raise ValueError(f"budget k must be positive, got {k}")
+        if not (0 < k < np.inf):
+            raise ValueError(f"budget k must be positive and finite, got {k}")
         self.k = float(k)
 
     def _greedy_fill(self, w, alpha, out):
@@ -138,8 +138,9 @@ class PartitionMatroidPolytope(Polytope):
         self.budgets = np.array(budgets, dtype=float)
         if len(self.blocks) != self.budgets.size:
             raise ValueError("need one budget per block")
-        if self.budgets.size == 0 or self.budgets.min() <= 0:
-            raise ValueError("block budgets must be positive")
+        if self.budgets.size == 0 or not np.all((self.budgets > 0)
+                                                & np.isfinite(self.budgets)):
+            raise ValueError("block budgets must be positive and finite")
         seen = np.zeros(self.n, dtype=bool)
         for b in self.blocks:
             if b.size == 0:
@@ -195,8 +196,8 @@ class KnapsackPolytope(Polytope):
             raise ValueError(f"need one cost per element, got {self.costs.size}")
         if self.costs.min() <= 0 or not np.all(np.isfinite(self.costs)):
             raise ValueError("knapsack costs must be strictly positive and finite")
-        if not (budget > 0):
-            raise ValueError(f"budget must be positive, got {budget}")
+        if not (0 < budget < np.inf):
+            raise ValueError(f"budget must be positive and finite, got {budget}")
         self.budget = float(budget)
 
     def _greedy_fill(self, w, alpha, out):

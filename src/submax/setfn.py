@@ -12,9 +12,12 @@ Three evaluation modes are supported:
              structural families (directed cut, weighted coverage),
   mc      -- Monte Carlo sampling of R(x), reproducible from a seed.
 
-Partial derivatives always go through the one-coordinate identity
-dF/dx_i = F(x with x_i=1) - F(x with x_i=0).  Because F is multilinear this
-is exact; no finite-difference fuzz is ever involved.
+In exact and mc modes, and for explicit tables, partial derivatives go
+through the one-coordinate identity dF/dx_i = F(x with x_i=1) - F(x with
+x_i=0).  Because F is multilinear this is exact; no finite-difference fuzz
+is ever involved.  In closed mode each structural family differentiates its
+polynomial analytically (``closed_form_grad``); the identity stays the
+reference it is tested against (``one_coordinate_gradient``).
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from .errors import EstimatorError, InvalidSubsetError
 
 COORD_TOL = 1e-12
 EXACT_ENUM_LIMIT = 25   # 2^n subset weights; the desk-scale ceiling
-NONNEG_CHECK_LIMIT = 16  # exhaustive nonnegativity check on explicit tables
 SUBMOD_CHECK_LIMIT = 12  # exhaustive submodularity check on explicit tables
 
 SubsetLike = Union[int, Iterable[int]]
@@ -207,6 +209,10 @@ class SetFunction:
     def closed_form_batch(self, X: np.ndarray) -> np.ndarray:
         raise EstimatorError(f"{self.kind} has no closed-form extension")
 
+    def closed_form_grad(self, x: np.ndarray) -> np.ndarray:
+        """The (n,) gradient of the closed-form extension at x."""
+        raise EstimatorError(f"{self.kind} has no closed-form extension")
+
     def full_table(self) -> np.ndarray:
         """All 2^n values, indexed by bitmask (bit i = element i). Cached."""
         if self._table is None:
@@ -232,8 +238,8 @@ def _mask_bits(masks: np.ndarray, n: int) -> np.ndarray:
 
 
 class ExplicitTable(SetFunction):
-    """f given by all 2^n values.  Nonnegativity is checked exhaustively for
-    n <= 16 and submodularity for n <= 12; invalid tables are rejected, never
+    """f given by all 2^n values.  Nonnegativity is always checked and
+    submodularity exhaustively for n <= 12; invalid tables are rejected, never
     repaired."""
 
     kind = "explicit-table"
@@ -246,7 +252,7 @@ class ExplicitTable(SetFunction):
                 f"explicit table needs exactly 2^{self.n} values, got {vals.size}")
         if not np.all(np.isfinite(vals)):
             raise ValueError("table values must be finite")
-        if self.n <= NONNEG_CHECK_LIMIT and vals.min() < 0:
+        if vals.min() < 0:
             bad = int(np.argmin(vals))
             raise ValueError(f"negative value {vals[bad]} at subset mask {bad}")
         if self.n <= SUBMOD_CHECK_LIMIT:
@@ -317,6 +323,16 @@ class DirectedCut(SetFunction):
             return np.zeros(X.shape[0], dtype=float)
         return (X[:, self.src] * (1.0 - X[:, self.dst])) @ self.w
 
+    def closed_form_grad(self, x: np.ndarray) -> np.ndarray:
+        # dF/dx_i = sum_{i->b} w (1 - x_b) - sum_{a->i} w x_a
+        if self.w.size == 0:
+            return np.zeros(self.n)
+        out_gain = np.bincount(self.src, weights=self.w * (1.0 - x[self.dst]),
+                               minlength=self.n)
+        in_loss = np.bincount(self.dst, weights=self.w * x[self.src],
+                              minlength=self.n)
+        return out_gain - in_loss
+
     def payload(self) -> dict:
         return {"arcs": [[int(a), int(b), float(wt)]
                          for a, b, wt in zip(self.src, self.dst, self.w)]}
@@ -366,6 +382,17 @@ class Coverage(SetFunction):
                                     miss[:, :, None], 1.0), axis=1)
             out[lo:lo + rows] = (1.0 - surv) @ self.item_weights
         return out
+
+    def closed_form_grad(self, x: np.ndarray) -> np.ndarray:
+        # dF/dx_i = sum_{j covered by i} w_j prod_{k covers j, k != i} (1 - x_k).
+        # The leave-one-out products come from exclusive prefix and suffix
+        # products down the elements, not from dividing the full product, so
+        # they stay exact when some x_k = 1.
+        miss = np.where(self.incidence, 1.0 - x[:, None], 1.0)
+        loo = np.ones_like(miss)
+        np.cumprod(miss[:-1], axis=0, out=loo[1:])
+        loo[:-1] *= np.cumprod(miss[:0:-1], axis=0)[::-1]
+        return (loo * self.incidence) @ self.item_weights
 
     def payload(self) -> dict:
         return {"covers": [list(c) for c in self.covers],
@@ -449,17 +476,35 @@ def multilinear(f: SetFunction, x, cfg: EstimatorConfig | None = None) -> float:
     return float(multilinear_batch(f, xv[None, :], cfg)[0])
 
 
-def gradient(f: SetFunction, x, cfg: EstimatorConfig | None = None) -> np.ndarray:
-    """dF/dx_i = F(x with x_i=1) - F(x with x_i=0) for every coordinate.
+def one_coordinate_gradient(f: SetFunction, x, cfg: EstimatorConfig) -> np.ndarray:
+    """dF/dx_i = F(x with x_i=1) - F(x with x_i=0) for every coordinate, from
+    2n extension rows in the batch modes (exact, closed).  ``gradient`` takes
+    this path in exact mode; in closed mode it is the reference the analytic
+    gradients are checked against."""
+    xv = as_array(x)
+    n = f.n
+    X = np.repeat(xv[None, :], 2 * n, axis=0)
+    X[np.arange(n), np.arange(n)] = 1.0
+    X[n + np.arange(n), np.arange(n)] = 0.0
+    vals = multilinear_batch(f, X, cfg)
+    return vals[:n] - vals[n:]
 
-    Monte Carlo mode shares one batch of uniforms across all 2n endpoint
-    evaluations (common random numbers), which preserves the antitone
-    structure of the estimates far better than independent draws.
+
+def gradient(f: SetFunction, x, cfg: EstimatorConfig | None = None) -> np.ndarray:
+    """The gradient of F at x.
+
+    Closed mode differentiates the family's polynomial analytically; exact
+    and mc modes use the one-coordinate identity.  Monte Carlo mode shares
+    one batch of uniforms across all 2n endpoint evaluations (common random
+    numbers), which preserves the antitone structure of the estimates far
+    better than independent draws.
     """
     if cfg is None:
         cfg = default_config(f)
     xv = as_array(x)
     n = f.n
+    if cfg.mode == "closed":
+        return f.closed_form_grad(xv)
     if cfg.mode == "mc":
         rng = cfg.rng()
         U = rng.random((cfg.sample_count, n))
@@ -472,11 +517,7 @@ def gradient(f: SetFunction, x, cfg: EstimatorConfig | None = None) -> np.ndarra
             lo[:, i] = False
             g[i] = _vertex_values(f, hi).mean() - _vertex_values(f, lo).mean()
         return g
-    X = np.repeat(xv[None, :], 2 * n, axis=0)
-    X[np.arange(n), np.arange(n)] = 1.0
-    X[n + np.arange(n), np.arange(n)] = 0.0
-    vals = multilinear_batch(f, X, cfg)
-    return vals[:n] - vals[n:]
+    return one_coordinate_gradient(f, xv, cfg)
 
 
 def residual_gradient(f: SetFunction, x, cfg: EstimatorConfig | None = None) -> np.ndarray:

@@ -22,7 +22,8 @@ from .polytope import (CapParam, CardinalityPolytope, KnapsackPolytope,
                        PartitionMatroidPolytope, Polytope)
 from .setfn import (EXACT_ENUM_LIMIT, EstimatorConfig, Point, SetFunction,
                     as_array, default_config, eval_set, gradient, mask_to_set,
-                    max_singleton, multilinear, multilinear_batch)
+                    max_singleton, multilinear, multilinear_batch,
+                    one_coordinate_gradient)
 
 BRUTE_FORCE_LIMIT = 20
 
@@ -166,7 +167,8 @@ def _random_point(rng, n):
 
 def calculus_checks(f: SetFunction, rng: np.random.Generator,
                     trials: int = 60) -> list[CheckResult]:
-    """Gradient identity, antitone gradient, directional concavity, the
+    """Gradient identity (and, for structural families, the analytic
+    gradient against it), antitone gradient, directional concavity, the
     one-coordinate linearity identity, smoothness, and the join lower bound,
     on random points of this instance."""
     cfg = _exact_cfg(f)
@@ -177,7 +179,7 @@ def calculus_checks(f: SetFunction, rng: np.random.Generator,
     worst = 0.0
     for _ in range(trials):
         x = _random_point(rng, n)
-        g = gradient(f, x, cfg)
+        g = one_coordinate_gradient(f, x, cfg)
         for i in rng.choice(n, size=min(3, n), replace=False):
             hi = x.copy(); hi[i] = 1.0
             lo = x.copy(); lo[i] = 0.0
@@ -185,6 +187,20 @@ def calculus_checks(f: SetFunction, rng: np.random.Generator,
             worst = max(worst, abs(g[i] - ref))
     out.append(CheckResult("gradient one-coordinate identity", worst <= 1e-12,
                            True, f"worst dev {worst:.2e}"))
+
+    if f.has_closed_form:
+        # every coordinate, with some coordinates pinned at exactly 0 or 1;
+        # rounding grows with n and |g|, so the tolerance is relative
+        worst = 0.0
+        for _ in range(trials):
+            x = _random_point(rng, n)
+            x[rng.random(n) < 0.15] = 0.0
+            x[rng.random(n) < 0.15] = 1.0
+            ref = one_coordinate_gradient(f, x, cfg)
+            dev = np.max(np.abs(gradient(f, x, cfg) - ref))
+            worst = max(worst, float(dev) / max(1.0, float(np.max(np.abs(ref)))))
+        out.append(CheckResult("closed-form gradient matches one-coordinate identity",
+                               worst <= 1e-11, True, f"worst rel dev {worst:.2e}"))
 
     worst = np.inf
     for _ in range(trials):

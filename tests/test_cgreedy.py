@@ -383,6 +383,32 @@ class TestSinglePassSweep:
             assert np.array_equal(r.y1.v, y1.v)
 
 
+def _identity_gradient(self, x):
+    return setfn.one_coordinate_gradient(self, x, EstimatorConfig(mode="closed"))
+
+
+_DESK_SAMPLE = [inst for inst in sm.desk_corpus(1) if inst.n in (6, 10)][::2]
+
+
+class TestAnalyticGradientSolve:
+    @pytest.mark.parametrize("inst", _DESK_SAMPLE, ids=lambda inst: inst.name)
+    def test_matches_solve_through_identity(self, monkeypatch, inst):
+        f, C = inst.build()
+        run = RunConfig(delta=0.01)
+        analytic = sm.solve(f, C, run)
+        for cls in (sm.DirectedCut, sm.Coverage):
+            monkeypatch.setattr(cls, "closed_form_grad", _identity_gradient)
+        identity = sm.solve(f, C, run)
+        assert (analytic.best_theta, analytic.best_branch) \
+            == (identity.best_theta, identity.best_branch)
+        assert analytic.best_value == pytest.approx(identity.best_value, rel=1e-9)
+        for a, b in zip(analytic.per_theta, identity.per_theta, strict=True):
+            assert a.theta == b.theta
+            for fld in ("x_value", "y1_value", "z_value", "final_inner"):
+                assert getattr(a, fld) == pytest.approx(getattr(b, fld), rel=1e-9,
+                                                        abs=1e-12), (a.theta, fld)
+
+
 class _UncappedOracle(sm.CardinalityPolytope):
     """Ignores the cap, so stage one outgrows its l-inf envelope."""
 

@@ -182,6 +182,31 @@ class TestCli:
         assert main(["solve", str(p)]) == 2
         assert "line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind,constraint,mutate,message", [
+        ("directed-cut", "knapsack",
+         lambda d: d.update(function=[]), "'function' must be a JSON object"),
+        ("directed-cut", "knapsack",
+         lambda d: d.update(n="x"), "'n' must be a positive integer"),
+        ("directed-cut", "knapsack",
+         lambda d: d["function"]["arcs"][0].pop(), "directed-cut function payload"),
+        ("directed-cut", "knapsack",
+         lambda d: d["constraint"].update(budget="NaN"), "knapsack constraint payload"),
+        ("directed-cut", "knapsack",
+         lambda d: d["constraint"].update(budget=float("nan")), "positive and finite"),
+        ("coverage", "cardinality",
+         lambda d: d["constraint"].update(k=float("inf")), "positive and finite"),
+    ], ids=["function-list", "n-string", "two-element-arc", "budget-string",
+            "budget-nan", "k-infinity"])
+    def test_malformed_instance_is_a_format_error(self, tmp_path, capsys, kind,
+                                                  constraint, mutate, message):
+        doc = json.loads(sm.gen(kind, 4, constraint, 0).to_json())
+        mutate(doc)
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        assert main(["solve", str(p), "--delta", "0.25", "--theta-grid", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
     def test_theta_not_multiple_is_a_config_error(self, tmp_path, capsys):
         inst_path = tmp_path / "inst.json"
         main(["gen", "--kind", "directed-cut", "--n", "4",

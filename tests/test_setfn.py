@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 import submax as sm
 from submax import EstimatorConfig, EstimatorError, InvalidSubsetError, Point
+from submax.setfn import one_coordinate_gradient
 
-from helpers import brute_force_extension, random_table_function
+from helpers import (brute_force_extension, random_coverage, random_cut,
+                     random_table_function)
 
 EXACT = EstimatorConfig(mode="exact")
 CLOSED = EstimatorConfig(mode="closed")
@@ -86,6 +88,8 @@ class TestMultilinear:
         f = random_table_function(np.random.default_rng(0), 4)
         with pytest.raises(EstimatorError):
             sm.multilinear(f, [0.5] * 4, CLOSED)
+        with pytest.raises(EstimatorError):
+            sm.gradient(f, [0.5] * 4, CLOSED)
 
     def test_exact_size_limit(self):
         f = sm.DirectedCut(26, [(0, 1, 1.0)])
@@ -131,6 +135,59 @@ class TestGradient:
         assert np.allclose(at_one, [0.0, 0.0])
 
 
+def _coverage_with_gaps(rng, n):
+    """Element 0 covers nothing and the last item is covered by no element."""
+    m = 2 * n + 1
+    inc = rng.random((n, m - 1)) < 0.3
+    inc[0] = False
+    covers = [np.nonzero(row)[0].tolist() for row in inc]
+    return sm.Coverage(n, covers, (1.0 - rng.random(m)).tolist())
+
+
+def _structural_functions(rng, n):
+    fs = [sm.DirectedCut(n, []), random_coverage(rng, n), _coverage_with_gaps(rng, n)]
+    if n >= 2:
+        fs.append(random_cut(rng, n))
+    return fs
+
+
+def _test_points(rng, n):
+    pinned = rng.random(n)
+    pinned[rng.random(n) < 0.3] = 0.0
+    pinned[rng.random(n) < 0.3] = 1.0
+    return [np.zeros(n), np.ones(n), rng.random(n), pinned,
+            (rng.random(n) < 0.5).astype(float)]
+
+
+class TestClosedFormGradient:
+    """The analytic per-family gradient against the one-coordinate identity
+    evaluated on 2n closed-form rows."""
+
+    @pytest.mark.parametrize("n", [1, 2, 12, 50, 100])
+    def test_matches_one_coordinate_identity(self, n):
+        rng = np.random.default_rng(1000 + n)
+        for f in _structural_functions(rng, n):
+            for x in _test_points(rng, n):
+                ref = one_coordinate_gradient(f, x, CLOSED)
+                g = f.closed_form_grad(x)
+                assert g.shape == (n,) and g.dtype == float
+                tol = 1e-11 * max(1.0, float(np.max(np.abs(ref))))
+                assert np.max(np.abs(g - ref)) <= tol, (f.kind, x)
+
+    def test_closed_mode_gradient_is_the_analytic_one(self):
+        rng = np.random.default_rng(8)
+        for f in _structural_functions(rng, 9):
+            x = rng.random(9)
+            assert np.array_equal(sm.gradient(f, x, CLOSED), f.closed_form_grad(x))
+
+    def test_coverage_exact_where_a_coordinate_is_one(self):
+        # items 0 and 1 are both covered by elements 0 and 1; x_1 = 1 zeroes
+        # element 0's gain exactly while element 1 keeps its own
+        f = sm.Coverage(3, [[0, 1], [0, 1, 2], []], [1.0, 2.0, 4.0])
+        g = f.closed_form_grad(np.array([0.5, 1.0, 0.3]))
+        assert g.tolist() == [0.0, 0.5 * 3.0 + 4.0, 0.0]
+
+
 class TestMaxSingleton:
     def test_one_arc(self, one_arc):
         assert sm.max_singleton(one_arc) == 1.0
@@ -148,6 +205,12 @@ class TestExplicitTableValidation:
     def test_negative_value_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             sm.ExplicitTable(2, [0.0, 1.0, -0.5, 1.0])
+
+    def test_negative_value_rejected_at_any_size(self):
+        vals = np.zeros(1 << 17)
+        vals[12345] = -1e-3
+        with pytest.raises(ValueError, match="negative value .* at subset mask 12345"):
+            sm.ExplicitTable(17, vals)
 
     def test_supermodular_rejected(self):
         with pytest.raises(ValueError, match="not submodular"):

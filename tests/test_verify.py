@@ -164,3 +164,18 @@ class TestPropertySuite:
         hard_failures = [r for r in results if r.hard and not r.passed]
         assert not hard_failures, [r.name for r in hard_failures]
         assert any("ratio" in r.name for r in results)
+
+    def test_closed_form_gradient_check_runs_and_catches_a_wrong_gradient(
+            self, monkeypatch):
+        name = "closed-form gradient matches one-coordinate identity"
+        rng = np.random.default_rng(3)
+        table = random_table_function(rng, 5)
+        assert name not in [r.name for r in sm.verify.calculus_checks(table, rng, 5)]
+        f = sm.gen("coverage", 30, "cardinality", 4).build_function()
+        check = {r.name: r for r in sm.verify.calculus_checks(f, rng, 5)}[name]
+        assert check.hard and check.passed
+        good = sm.Coverage.closed_form_grad
+        monkeypatch.setattr(sm.Coverage, "closed_form_grad",
+                            lambda self, x: good(self, x) * (1.0 + 1e-9))
+        check = {r.name: r for r in sm.verify.calculus_checks(f, rng, 5)}[name]
+        assert not check.passed
