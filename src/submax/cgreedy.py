@@ -80,9 +80,7 @@ class RunConfig:
         for t in grid:
             if not (0.0 <= t <= 1.0):
                 raise ConfigError(f"theta {t} outside [0, 1]")
-            k = round(t / self.delta)
-            if abs(t - k * self.delta) > THETA_TOL:
-                raise ConfigError(f"theta {t} is not a multiple of delta {self.delta}")
+            self.steps_of(t)
         object.__setattr__(self, "theta_grid", grid)
 
     @property

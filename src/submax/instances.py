@@ -23,6 +23,9 @@ from .verify import BRUTE_FORCE_LIMIT, brute_force_opt
 SCHEMA_VERSION = 1
 FUNCTION_KINDS = ("directed-cut", "coverage", "explicit-table")
 CONSTRAINT_KINDS = ("cardinality", "partition-matroid", "knapsack")
+# generating a table enumerates cut and coverage over all 2^n subsets, with
+# a (2^n x arcs) intermediate: over 1 GB at n=20
+TABLE_GEN_LIMIT = 16
 
 CSV_HEADER = "instance,n,constraint,alpha,delta,theta_best,best_value,opt_value,ratio"
 
@@ -201,6 +204,9 @@ def gen(kind: str, n: int, constraint: str, seed: int) -> InstanceFile:
         raise InstanceFormatError(f"unknown constraint kind {constraint!r}")
     if n < 2:
         raise InstanceFormatError("generated instances need n >= 2")
+    if kind == "explicit-table" and n > TABLE_GEN_LIMIT:
+        raise InstanceFormatError(
+            f"explicit-table generation limited to n <= {TABLE_GEN_LIMIT}, got n={n}")
     rng = _rng_for(kind, n, constraint, seed)
     if kind == "directed-cut":
         fdesc = _gen_cut_payload(rng, n)

@@ -1,12 +1,13 @@
 """Down-closed constraint bodies with exact capped linear maximization.
 
 Every body C here lives in [0,1]^n, contains the origin, and is down-closed:
-y <= x in C implies y in C.  Two oracles are exposed.  ``linear_maximize``
-solves  max <w, c>  over  c in C, ||c||_inf <= alpha  by a greedy that is
-exact for these families (they are separable or single-row packing systems,
-so the capped LP is a fractional knapsack).  ``contains_set`` and
-``contains_point`` test membership of 0/1 sets and fractional points, used
-by the brute-force verification oracles.
+y <= x in C implies y in C.  Every body is a set of disjoint packing rows
+<cost_b, x_b> <= budget_b: cardinality is one unit-cost row, a partition
+matroid one unit-cost row per block, a knapsack one row with its own costs.
+One oracle serves all three: ``linear_maximize`` solves  max <w, c>  over
+c in C, ||c||_inf <= alpha  exactly, by a fractional-knapsack greedy per row.
+``contains_set`` and ``contains_point`` test membership of 0/1 sets and
+fractional points, used by the brute-force verification oracles.
 
 Tie-breaking in every greedy sort is lowest index first, and nonpositive
 weights are zeroed before assigning mass: by down-closedness a coordinate
@@ -37,6 +38,10 @@ class CapParam:
 
 
 class Polytope:
+    """{ x in [0,1]^n : <costs, x[indices]> <= budget for every row }; each
+    subclass builds ``rows``, a list of (indices, costs, budget) with disjoint
+    ascending indices and positive costs, from the payload it validates."""
+
     kind = "abstract"
 
     def __init__(self, ground: GroundSet | int):
@@ -58,7 +63,17 @@ class Polytope:
         return Point.trusted(c)
 
     def _greedy_fill(self, w: np.ndarray, alpha: float, out: np.ndarray) -> None:
-        raise NotImplementedError
+        # w/cost descending; the stable sort sends ties to the lower index
+        for idx, cost, budget in self.rows:
+            pos = w[idx] > 0
+            idx, cost = idx[pos], cost[pos]
+            order = np.argsort(-(w[idx] / cost), kind="stable")
+            remaining = budget
+            for i, ci in zip(idx[order].tolist(), cost[order].tolist()):
+                if remaining <= 0:
+                    break
+                out[i] = fill = min(alpha, remaining / ci)
+                remaining -= fill * ci
 
     def contains_set(self, S: SubsetLike) -> bool:
         """Whether the indicator vector of S lies in C."""
@@ -78,18 +93,14 @@ class Polytope:
         return self._satisfies(xv)
 
     def _satisfies(self, x: np.ndarray) -> bool:
-        raise NotImplementedError
+        return all(x[idx] @ cost <= budget + FEAS_TOL
+                   for idx, cost, budget in self.rows)
 
     def payload(self) -> dict:
         raise NotImplementedError
 
     def describe(self) -> str:
         return self.kind
-
-
-def _stable_desc_order(w: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    # descending weight, ties by ascending index
-    return idx[np.argsort(-w[idx], kind="stable")]
 
 
 class CardinalityPolytope(Polytope):
@@ -102,22 +113,11 @@ class CardinalityPolytope(Polytope):
         if not (0 < k < np.inf):
             raise ValueError(f"budget k must be positive and finite, got {k}")
         self.k = float(k)
-
-    def _greedy_fill(self, w, alpha, out):
-        order = _stable_desc_order(w, np.nonzero(w > 0)[0])
-        remaining = self.k
-        for i in order:
-            if remaining <= 0:
-                break
-            out[i] = min(alpha, remaining)
-            remaining -= out[i]
+        self.rows = [(np.arange(self.n), np.ones(self.n), self.k)]
 
     def contains_mask_batch(self, masks):
         bits = _mask_bits(masks, self.n)
         return bits.sum(axis=1) <= self.k + FEAS_TOL
-
-    def _satisfies(self, x):
-        return bool(x.sum() <= self.k + FEAS_TOL)
 
     def payload(self):
         return {"k": self.k}
@@ -152,16 +152,8 @@ class PartitionMatroidPolytope(Polytope):
             seen[b] = True
         if not seen.all():
             raise ValueError("blocks must cover the ground set")
-
-    def _greedy_fill(self, w, alpha, out):
-        for b, kb in zip(self.blocks, self.budgets):
-            order = _stable_desc_order(w, b[w[b] > 0])
-            remaining = kb
-            for i in order:
-                if remaining <= 0:
-                    break
-                out[i] = min(alpha, remaining)
-                remaining -= out[i]
+        self.rows = [(b, np.ones(b.size), float(kb))
+                     for b, kb in zip(self.blocks, self.budgets)]
 
     def contains_mask_batch(self, masks):
         bits = _mask_bits(masks, self.n)
@@ -169,10 +161,6 @@ class PartitionMatroidPolytope(Polytope):
         for b, kb in zip(self.blocks, self.budgets):
             ok &= bits[:, b].sum(axis=1) <= kb + FEAS_TOL
         return ok
-
-    def _satisfies(self, x):
-        return all(x[b].sum() <= kb + FEAS_TOL
-                   for b, kb in zip(self.blocks, self.budgets))
 
     def payload(self):
         return {"blocks": [b.tolist() for b in self.blocks],
@@ -199,24 +187,11 @@ class KnapsackPolytope(Polytope):
         if not (0 < budget < np.inf):
             raise ValueError(f"budget must be positive and finite, got {budget}")
         self.budget = float(budget)
-
-    def _greedy_fill(self, w, alpha, out):
-        idx = np.nonzero(w > 0)[0]
-        ratio = w[idx] / self.costs[idx]
-        order = idx[np.argsort(-ratio, kind="stable")]
-        remaining = self.budget
-        for i in order:
-            if remaining <= 0:
-                break
-            out[i] = min(alpha, remaining / self.costs[i])
-            remaining -= out[i] * self.costs[i]
+        self.rows = [(np.arange(self.n), self.costs, self.budget)]
 
     def contains_mask_batch(self, masks):
         bits = _mask_bits(masks, self.n)
         return bits.astype(float) @ self.costs <= self.budget + FEAS_TOL
-
-    def _satisfies(self, x):
-        return bool(x @ self.costs <= self.budget + FEAS_TOL)
 
     def payload(self):
         return {"costs": self.costs.tolist(), "budget": self.budget}

@@ -32,6 +32,7 @@ from .errors import EstimatorError, InvalidSubsetError
 COORD_TOL = 1e-12
 EXACT_ENUM_LIMIT = 25   # 2^n subset weights; the desk-scale ceiling
 SUBMOD_CHECK_LIMIT = 12  # exhaustive submodularity check on explicit tables
+SUBMOD_SAMPLES = 1 << 16  # seeded (S, i, j) samples checked above that size
 
 SubsetLike = Union[int, Iterable[int]]
 
@@ -46,9 +47,6 @@ class GroundSet:
         if int(self.n) != self.n or self.n < 1:
             raise ValueError(f"ground set size must be a positive integer, got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))
-
-    def elements(self) -> range:
-        return range(self.n)
 
 
 def as_ground(ground: GroundSet | int) -> GroundSet:
@@ -197,11 +195,9 @@ class SetFunction:
     def n(self) -> int:
         return self.ground.n
 
-    def value_mask(self, mask: int) -> float:
-        return float(self.value_batch(np.array([mask], dtype=np.int64))[0])
-
     def value(self, S: SubsetLike) -> float:
-        return self.value_mask(as_mask(S, self.n))
+        """f(S) for a subset or bitmask, at any n (no int64 bitmask)."""
+        return float(_vertex_values(self, Point.indicator(self.n, S).v[None, :] > 0)[0])
 
     def value_batch(self, masks: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -215,10 +211,10 @@ class SetFunction:
 
     def full_table(self) -> np.ndarray:
         """All 2^n values, indexed by bitmask (bit i = element i). Cached."""
+        if self.n > EXACT_ENUM_LIMIT:
+            raise EstimatorError(
+                f"exact enumeration limited to n <= {EXACT_ENUM_LIMIT}, got n={self.n}")
         if self._table is None:
-            if self.n > EXACT_ENUM_LIMIT:
-                raise EstimatorError(
-                    f"exact enumeration limited to n <= {EXACT_ENUM_LIMIT}, got n={self.n}")
             out = np.empty(1 << self.n)
             chunk = 1 << 20
             for lo in range(0, out.size, chunk):
@@ -238,9 +234,9 @@ def _mask_bits(masks: np.ndarray, n: int) -> np.ndarray:
 
 
 class ExplicitTable(SetFunction):
-    """f given by all 2^n values.  Nonnegativity is always checked and
-    submodularity exhaustively for n <= 12; invalid tables are rejected, never
-    repaired."""
+    """f given by all 2^n values.  Nonnegativity is always checked, and
+    submodularity exhaustively for n <= 12 and on a seeded sample of pairs
+    above; invalid tables are rejected, never repaired."""
 
     kind = "explicit-table"
 
@@ -255,8 +251,7 @@ class ExplicitTable(SetFunction):
         if vals.min() < 0:
             bad = int(np.argmin(vals))
             raise ValueError(f"negative value {vals[bad]} at subset mask {bad}")
-        if self.n <= SUBMOD_CHECK_LIMIT:
-            _check_submodular_table(vals, self.n)
+        _check_submodular_table(vals, self.n)
         vals.flags.writeable = False
         self.values = vals
         self._table = vals
@@ -271,18 +266,27 @@ class ExplicitTable(SetFunction):
 
 
 def _check_submodular_table(vals: np.ndarray, n: int, tol: float = 1e-9) -> None:
-    """Exhaustive pairwise check: f(S+i) + f(S+j) >= f(S+i+j) + f(S)."""
-    masks = np.arange(vals.size, dtype=np.int64)
-    for i in range(n):
-        bi = 1 << i
-        for j in range(i + 1, n):
-            bj = 1 << j
-            base = masks[(masks & (bi | bj)) == 0]
-            gap = vals[base | bi] + vals[base | bj] - vals[base | bi | bj] - vals[base]
-            if gap.min() < -tol:
-                k = int(base[np.argmin(gap)])
-                raise ValueError(
-                    f"table is not submodular: violated at S=mask {k}, i={i}, j={j}")
+    """Pairwise check f(S+i) + f(S+j) >= f(S+i+j) + f(S): over every (S, i, j)
+    for n <= SUBMOD_CHECK_LIMIT, over SUBMOD_SAMPLES seeded draws above, so a
+    given table is always accepted or always rejected."""
+    if n <= SUBMOD_CHECK_LIMIT:
+        pi, pj = np.triu_indices(n, 1)
+        i, j = np.repeat(pi, vals.size), np.repeat(pj, vals.size)
+        S = np.tile(np.arange(vals.size, dtype=np.int64), pi.size)
+        how = ""
+    else:
+        rng = np.random.default_rng(0)
+        i = rng.integers(n, size=SUBMOD_SAMPLES)
+        j = (i + rng.integers(1, n, size=SUBMOD_SAMPLES)) % n
+        S = rng.integers(vals.size, size=SUBMOD_SAMPLES)
+        how = f" (sampled check of {SUBMOD_SAMPLES} random (S, i, j))"
+    bi, bj = np.left_shift(1, i), np.left_shift(1, j)
+    base = S & ~(bi | bj)
+    gap = vals[base | bi] + vals[base | bj] - vals[base | bi | bj] - vals[base]
+    if gap.size and gap.min() < -tol:
+        k = int(np.argmin(gap))
+        raise ValueError(f"table is not submodular{how}: violated at "
+                         f"S=mask {int(base[k])}, i={int(i[k])}, j={int(j[k])}")
 
 
 class DirectedCut(SetFunction):
@@ -421,9 +425,6 @@ def default_config(f: SetFunction, **kw) -> EstimatorConfig:
 
 
 def _check_mode(f: SetFunction, cfg: EstimatorConfig) -> None:
-    if cfg.mode == "exact" and f.n > EXACT_ENUM_LIMIT:
-        raise EstimatorError(
-            f"exact enumeration limited to n <= {EXACT_ENUM_LIMIT}, got n={f.n}")
     if cfg.mode == "closed" and not f.has_closed_form:
         raise EstimatorError(
             f"closed-form evaluation is not available for kind {f.kind!r}")
@@ -529,5 +530,4 @@ def residual_gradient(f: SetFunction, x, cfg: EstimatorConfig | None = None) -> 
 
 def max_singleton(f: SetFunction) -> float:
     """max_i f({i}); the scale constant in the smoothness bounds."""
-    singles = np.int64(1) << np.arange(f.n, dtype=np.int64)
-    return float(f.value_batch(singles).max())
+    return float(_vertex_values(f, np.eye(f.n, dtype=bool)).max())

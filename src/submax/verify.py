@@ -28,8 +28,12 @@ from .setfn import (EXACT_ENUM_LIMIT, EstimatorConfig, Point, SetFunction,
 BRUTE_FORCE_LIMIT = 20
 
 
-def _exact_cfg(f: SetFunction) -> EstimatorConfig:
-    return default_config(f)
+def _all_masks(n: int) -> np.ndarray:
+    """Every bitmask over n elements, guarded by BRUTE_FORCE_LIMIT."""
+    if n > BRUTE_FORCE_LIMIT:
+        raise EstimatorError(
+            f"brute force limited to n <= {BRUTE_FORCE_LIMIT}, got n={n}")
+    return np.arange(1 << n, dtype=np.int64)
 
 
 def brute_force_opt(f: SetFunction, C: Polytope):
@@ -37,10 +41,7 @@ def brute_force_opt(f: SetFunction, C: Polytope):
 
     Returns (S*, value) with S* as a frozenset of element indices.
     """
-    if f.n > BRUTE_FORCE_LIMIT:
-        raise EstimatorError(
-            f"brute force limited to n <= {BRUTE_FORCE_LIMIT}, got n={f.n}")
-    masks = np.arange(1 << f.n, dtype=np.int64)
+    masks = _all_masks(f.n)
     feasible = masks[C.contains_mask_batch(masks)]
     values = f.value_batch(feasible)
     best = int(np.argmax(values))
@@ -50,18 +51,15 @@ def brute_force_opt(f: SetFunction, C: Polytope):
 def brute_force_box_opt(f: SetFunction, u, v):
     """Exhaustive corner optimum of F over the box [u, v]; ties prefer
     corners using more upper values.  Returns (x*, value)."""
-    if f.n > BRUTE_FORCE_LIMIT:
-        raise EstimatorError(
-            f"brute force limited to n <= {BRUTE_FORCE_LIMIT}, got n={f.n}")
+    masks = _all_masks(f.n)[::-1]  # all-upper corner first
     uv = as_array(u)
     vv = as_array(v)
     if np.any(uv > vv + 1e-12):
         raise ValueError("box requires u <= v coordinatewise")
     n = f.n
-    masks = np.arange(1 << n, dtype=np.int64)[::-1]  # all-upper corner first
     bits = (masks[:, None] >> np.arange(n)[None, :]) & 1 != 0
     corners = np.where(bits, vv[None, :], uv[None, :])
-    values = multilinear_batch(f, corners, _exact_cfg(f))
+    values = multilinear_batch(f, corners, default_config(f))
     best = int(np.argmax(values))
     return Point(corners[best]), float(values[best])
 
@@ -94,7 +92,7 @@ def check_x_or_opt(f: SetFunction, x, S) -> bool:
     xv = as_array(x)
     ind = Point.indicator(f.n, S).v
     joined = np.maximum(xv, ind)
-    lhs = multilinear(f, joined, _exact_cfg(f))
+    lhs = multilinear(f, joined, default_config(f))
     rhs = (1.0 - float(xv.max())) * eval_set(f, S)
     return lhs >= rhs - 1e-9
 
@@ -161,24 +159,20 @@ class CheckResult:
         return f"{status:12s} {self.name}{suffix}"
 
 
-def _random_point(rng, n):
-    return rng.random(n)
-
-
 def calculus_checks(f: SetFunction, rng: np.random.Generator,
                     trials: int = 60) -> list[CheckResult]:
     """Gradient identity (and, for structural families, the analytic
     gradient against it), antitone gradient, directional concavity, the
     one-coordinate linearity identity, smoothness, and the join lower bound,
     on random points of this instance."""
-    cfg = _exact_cfg(f)
+    cfg = default_config(f)
     n = f.n
     M = max_singleton(f)
     out = []
 
     worst = 0.0
     for _ in range(trials):
-        x = _random_point(rng, n)
+        x = rng.random(n)
         g = one_coordinate_gradient(f, x, cfg)
         for i in rng.choice(n, size=min(3, n), replace=False):
             hi = x.copy(); hi[i] = 1.0
@@ -193,7 +187,7 @@ def calculus_checks(f: SetFunction, rng: np.random.Generator,
         # rounding grows with n and |g|, so the tolerance is relative
         worst = 0.0
         for _ in range(trials):
-            x = _random_point(rng, n)
+            x = rng.random(n)
             x[rng.random(n) < 0.15] = 0.0
             x[rng.random(n) < 0.15] = 1.0
             ref = one_coordinate_gradient(f, x, cfg)
@@ -204,7 +198,7 @@ def calculus_checks(f: SetFunction, rng: np.random.Generator,
 
     worst = np.inf
     for _ in range(trials):
-        x = _random_point(rng, n)
+        x = rng.random(n)
         y = x + (1.0 - x) * rng.random(n)
         worst = min(worst, float(np.min(gradient(f, x, cfg) - gradient(f, y, cfg))))
     out.append(CheckResult("gradient antitone in x", worst >= -1e-9,
@@ -213,7 +207,7 @@ def calculus_checks(f: SetFunction, rng: np.random.Generator,
     worst = -np.inf
     grid = np.linspace(0.0, 1.0, 52)
     for _ in range(max(4, trials // 10)):
-        x = _random_point(rng, n)
+        x = rng.random(n)
         d = (1.0 - x) * rng.random(n)
         vals = multilinear_batch(f, x[None, :] + grid[:, None] * d[None, :], cfg)
         second = vals[:-2] - 2.0 * vals[1:-1] + vals[2:]
@@ -223,7 +217,7 @@ def calculus_checks(f: SetFunction, rng: np.random.Generator,
 
     worst = 0.0
     for _ in range(trials):
-        x = _random_point(rng, n)
+        x = rng.random(n)
         i = int(rng.integers(n))
         step = rng.uniform(-x[i], 1.0 - x[i])
         moved = x.copy(); moved[i] += step
@@ -238,7 +232,7 @@ def calculus_checks(f: SetFunction, rng: np.random.Generator,
     worst = -np.inf
     for _ in range(trials):
         width = rng.uniform(0.0, 0.3)
-        u = _random_point(rng, n)
+        u = rng.random(n)
         v = np.minimum(u + width * rng.random(n), 1.0)
         gap = abs(multilinear(f, v, cfg) - multilinear(f, u, cfg)) \
             - width * n * n * M
@@ -249,7 +243,7 @@ def calculus_checks(f: SetFunction, rng: np.random.Generator,
     ok = True
     for _ in range(trials):
         S = {i for i in range(n) if rng.random() < 0.5}
-        ok &= check_x_or_opt(f, _random_point(rng, n), S)
+        ok &= check_x_or_opt(f, rng.random(n), S)
     out.append(CheckResult("join lower bound F(x|1_S) >= (1-||x||inf) f(S)",
                            ok, True))
     return out
@@ -260,7 +254,7 @@ def extension_checks(f: SetFunction, rng: np.random.Generator) -> list[CheckResu
     exact enumeration."""
     out = []
     n = f.n
-    cfg = EstimatorConfig(mode="exact") if n <= EXACT_ENUM_LIMIT else _exact_cfg(f)
+    cfg = EstimatorConfig(mode="exact") if n <= EXACT_ENUM_LIMIT else default_config(f)
     if n <= 10:
         masks = np.arange(1 << n, dtype=np.int64)
     else:
@@ -320,7 +314,7 @@ def dgbox_checks(f: SetFunction, rng: np.random.Generator,
     a_i + b_i >= 0 on random boxes."""
     floor_ok = nest_ok = ab_ok = step_ok = True
     worst_floor = np.inf
-    cfg = _exact_cfg(f)
+    cfg = default_config(f)
     for _ in range(boxes):
         a = rng.random(f.n)
         b = rng.random(f.n)

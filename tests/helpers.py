@@ -18,7 +18,7 @@ def brute_force_extension(f, x):
         p = 1.0
         for i in range(n):
             p *= x[i] if (mask >> i) & 1 else (1.0 - x[i])
-        total += p * f.value_mask(mask)
+        total += p * f.value(mask)
     return total
 
 

@@ -22,10 +22,17 @@ class TestGeneration:
         b = sm.gen("directed-cut", 6, "cardinality", 2)
         assert a.to_json() != b.to_json()
 
-    def test_explicit_table_passes_submodularity_check(self):
-        inst = sm.gen("explicit-table", 12, "cardinality", 3)
-        f = inst.build_function()  # construction reruns the exhaustive check
+    @pytest.mark.parametrize("n", [12, 13])
+    def test_explicit_table_passes_submodularity_check(self, n):
+        inst = sm.gen("explicit-table", n, "cardinality", 3)
+        # construction reruns the check: exhaustive at n=12, sampled at n=13
+        f = sm.parse_instance(inst.to_json()).build_function()
         assert isinstance(f, sm.ExplicitTable)
+
+    def test_explicit_table_generation_capped(self):
+        # rejected before any table is built
+        with pytest.raises(InstanceFormatError, match="n <= 16, got n=20"):
+            sm.gen("explicit-table", 20, "cardinality", 0)
 
     def test_coverage_flagged_monotone(self):
         inst = sm.gen("coverage", 10, "knapsack", 5)
@@ -207,6 +214,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
+    def test_supermodular_table_is_a_format_error(self, tmp_path, capsys):
+        # f(S) = |S|^2 breaks every pair; above n=12 the check is sampled
+        sizes = [bin(m).count("1") for m in range(1 << 13)]
+        inst = sm.InstanceFile(
+            n=13, function={"kind": "explicit-table",
+                            "values": [float(s * s) for s in sizes]},
+            constraint={"kind": "cardinality", "k": 2})
+        p = tmp_path / "super.json"
+        p.write_text(inst.to_json())
+        assert main(["solve", str(p), "--delta", "0.25", "--theta-grid", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not submodular (sampled check" in err
+
     def test_theta_not_multiple_is_a_config_error(self, tmp_path, capsys):
         inst_path = tmp_path / "inst.json"
         main(["gen", "--kind", "directed-cut", "--n", "4",
@@ -225,6 +245,16 @@ class TestCli:
                      "--theta-grid", "0,0.2,0.5"]) == 0
         out = capsys.readouterr().out
         assert "all hard checks passed" in out
+
+    def test_verify_scale_instance_exit_zero(self, tmp_path, capsys):
+        # n=100: elements past bit 63 of an int64 bitmask
+        inst_path = tmp_path / "inst.json"
+        main(["gen", "--kind", "directed-cut", "--n", "100",
+              "--constraint", "cardinality", "--seed", "1",
+              "--out", str(inst_path)])
+        assert main(["verify", str(inst_path), "--delta", "0.02",
+                     "--theta-grid", "0,0.18"]) == 0
+        assert "all hard checks passed" in capsys.readouterr().out
 
     def test_verify_exit_nonzero_on_hard_failure(self, tmp_path, capsys, monkeypatch):
         import submax.cli as cli

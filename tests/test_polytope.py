@@ -41,10 +41,18 @@ class TestLinearMaximizeExamples:
         c = C.linear_maximize([5.0, 4.0, 3.0], CapParam(0.7))
         assert np.allclose(c.v, [0.7, 0.3, 0.0])
 
-    def test_deterministic_tie_break_low_index_first(self):
-        C = sm.CardinalityPolytope(4, 1)
-        c = C.linear_maximize([2.0, 2.0, 2.0, 2.0], CapParam(0.5))
-        assert np.allclose(c.v, [0.5, 0.5, 0.0, 0.0])
+    @pytest.mark.parametrize("C, w, expect", [
+        (sm.CardinalityPolytope(4, 1), [2.0, 2.0, 2.0, 2.0], [0.5, 0.5, 0.0, 0.0]),
+        # blocks listed out of order; ties go to the lower index in each
+        (sm.PartitionMatroidPolytope(6, [[5, 3, 4], [2, 1, 0]], [1, 1]),
+         [2.0] * 6, [0.5, 0.5, 0.0, 0.5, 0.5, 0.0]),
+        # equal w/cost = 1 throughout: items 0 and 1 fill the budget of 1.5
+        (sm.KnapsackPolytope(4, [1.0, 2.0, 1.0, 2.0], 1.5),
+         [1.0, 2.0, 1.0, 2.0], [0.5, 0.5, 0.0, 0.0]),
+    ], ids=["cardinality", "partition", "knapsack"])
+    def test_deterministic_tie_break_low_index_first(self, C, w, expect):
+        c = C.linear_maximize(w, CapParam(0.5))
+        assert c.v.tolist() == expect
 
     def test_nonfinite_weights_rejected(self):
         C = sm.CardinalityPolytope(2, 1)

@@ -201,6 +201,26 @@ class TestMaxSingleton:
         assert sm.max_singleton(two_item_coverage) == 2.0
 
 
+class TestBeyondInt64Bitmasks:
+    """f(S) and max_singleton go through 0/1 membership rows, so sets with
+    elements >= 63 need no int64 bitmask."""
+
+    @pytest.mark.parametrize("n", [64, 100])
+    def test_against_closed_form_on_indicator_rows(self, n):
+        rng = np.random.default_rng(n)
+        for f in (random_cut(rng, n), random_coverage(rng, n)):
+            rows = rng.random((6, n)) < 0.5
+            rows[0] = False
+            rows[1] = np.arange(n) >= 60
+            expect = f.closed_form_batch(rows.astype(float))
+            for row, val in zip(rows, expect):
+                S = np.nonzero(row)[0].tolist()
+                assert sm.eval_set(f, S) == pytest.approx(val, rel=1e-12, abs=1e-12)
+                assert f.value(sum(1 << i for i in S)) == sm.eval_set(f, S)
+            singles = f.closed_form_batch(np.eye(n))
+            assert sm.max_singleton(f) == pytest.approx(singles.max(), rel=1e-12)
+
+
 class TestExplicitTableValidation:
     def test_negative_value_rejected(self):
         with pytest.raises(ValueError, match="negative"):

@@ -56,8 +56,10 @@ class TestBruteForceOpt:
 
     def test_size_limit(self):
         f = sm.DirectedCut(21, [(0, 1, 1.0)])
-        with pytest.raises(EstimatorError):
+        with pytest.raises(EstimatorError, match="brute force limited to n <= 20"):
             sm.brute_force_opt(f, sm.CardinalityPolytope(21, 2))
+        with pytest.raises(EstimatorError, match="brute force limited to n <= 20"):
+            sm.brute_force_box_opt(f, Point.zeros(21), Point.ones(21))
 
 
 class TestBruteForceBoxOpt:
