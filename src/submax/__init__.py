@@ -12,8 +12,8 @@ from .errors import (ConfigError, EstimatorError, InstanceFormatError,
                      InvalidBoxError, InvalidSubsetError, InvariantError,
                      SubmaxError)
 from .setfn import (Coverage, DirectedCut, EstimatorConfig, ExplicitTable,
-                    GroundSet, Point, SetFunction, default_config, eval_set,
-                    gradient, max_singleton, multilinear, multilinear_batch,
+                    GroundSet, Point, SetFunction, default_config, gradient,
+                    max_singleton, multilinear, multilinear_batch,
                     residual_gradient)
 from .polytope import (CapParam, CardinalityPolytope, KnapsackPolytope,
                        PartitionMatroidPolytope, Polytope)
@@ -42,7 +42,7 @@ __all__ = [
     "best_bound_theta", "brute_force_box_opt", "brute_force_opt",
     "check_x_or_opt", "compute_bound", "dampened_stage", "default_config",
     "default_theta_grid", "desk_corpus", "dg_branch", "double_greedy_box",
-    "double_greedy_box_run", "eval_set", "gen", "gradient", "guarantee_floor",
+    "double_greedy_box_run", "gen", "gradient", "guarantee_floor",
     "lp_brute_force", "max_singleton", "mini_corpus", "multilinear",
     "multilinear_batch", "parse_instance", "property_suite",
     "residual_gradient", "run_instance", "serialize_instance", "solve",

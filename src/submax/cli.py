@@ -40,10 +40,13 @@ def parse_theta_grid(text: str) -> tuple[float, ...]:
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, default=0.5, help="l-inf cap (default 0.5)")
-    p.add_argument("--delta", type=float, default=0.005, help="time step (default 0.005)")
-    p.add_argument("--theta-grid", default="0:0.02:1,+0.18",
-                   help="switch-time grid, e.g. '0:0.02:1,+0.18'")
+    p.add_argument("--alpha", type=float, default=RunConfig.alpha,
+                   help=f"l-inf cap (default {RunConfig.alpha})")
+    p.add_argument("--delta", type=float, default=RunConfig.delta,
+                   help=f"time step (default {RunConfig.delta})")
+    p.add_argument("--theta-grid", default=None,
+                   help="switch-time grid, e.g. '0:0.1:1,+0.18' (default: "
+                        "multiples of 0.02 across [0, 1])")
     p.add_argument("--mode", choices=["exact", "closed", "mc"], default=None,
                    help="extension evaluation mode (default: closed when "
                         "available, exact otherwise)")
@@ -57,8 +60,8 @@ def _run_config(args) -> RunConfig:
     if args.mode is not None:
         cfg = EstimatorConfig(mode=args.mode, sample_count=args.samples,
                               rng_seed=args.seed)
-    return RunConfig(alpha=args.alpha, delta=args.delta,
-                     theta_grid=parse_theta_grid(args.theta_grid), cfg=cfg)
+    grid = None if args.theta_grid is None else parse_theta_grid(args.theta_grid)
+    return RunConfig(alpha=args.alpha, delta=args.delta, theta_grid=grid, cfg=cfg)
 
 
 def _read_instance(path: str) -> InstanceFile:

@@ -146,7 +146,7 @@ def _rng_for(kind: str, n: int, constraint: str, seed: int) -> np.random.Generat
     return np.random.default_rng(seq)
 
 
-def _gen_cut_payload(rng, n) -> dict:
+def _gen_cut_desc(rng, n) -> dict:
     while True:
         keep = rng.random((n, n)) < 0.45
         np.fill_diagonal(keep, False)
@@ -158,7 +158,7 @@ def _gen_cut_payload(rng, n) -> dict:
     return {"kind": "directed-cut", "arcs": arcs}
 
 
-def _gen_coverage_payload(rng, n) -> dict:
+def _gen_coverage_desc(rng, n) -> dict:
     m = 2 * n
     while True:
         inc = rng.random((n, m)) < 0.3
@@ -169,7 +169,7 @@ def _gen_coverage_payload(rng, n) -> dict:
     return {"kind": "coverage", "covers": covers, "item_weights": weights.tolist()}
 
 
-def _gen_constraint_payload(rng, n, constraint) -> dict:
+def _gen_constraint_desc(rng, n, constraint) -> dict:
     if constraint == "cardinality":
         return {"kind": constraint, "k": int(rng.integers(1, max(2, n // 2) + 1))}
     if constraint == "partition-matroid":
@@ -182,17 +182,6 @@ def _gen_constraint_payload(rng, n, constraint) -> dict:
     costs = (0.5 + rng.random(n)).tolist()
     budget = float(rng.uniform(0.25, 0.6) * sum(costs))
     return {"kind": constraint, "costs": costs, "budget": budget}
-
-
-def _monotone_exhaustive(f: SetFunction) -> bool:
-    table = f.full_table()
-    masks = np.arange(table.size, dtype=np.int64)
-    for i in range(f.n):
-        bi = 1 << i
-        base = masks[(masks & bi) == 0]
-        if np.min(table[base | bi] - table[base]) < -1e-12:
-            return False
-    return True
 
 
 def gen(kind: str, n: int, constraint: str, seed: int) -> InstanceFile:
@@ -209,24 +198,20 @@ def gen(kind: str, n: int, constraint: str, seed: int) -> InstanceFile:
             f"explicit-table generation limited to n <= {TABLE_GEN_LIMIT}, got n={n}")
     rng = _rng_for(kind, n, constraint, seed)
     if kind == "directed-cut":
-        fdesc = _gen_cut_payload(rng, n)
+        fdesc = _gen_cut_desc(rng, n)
     elif kind == "coverage":
-        fdesc = _gen_coverage_payload(rng, n)
+        fdesc = _gen_coverage_desc(rng, n)
     else:
         # nonnegative submodular by construction: coverage plus cut mixture
-        cut = DirectedCut(n, _gen_cut_payload(rng, n)["arcs"])
-        cov_desc = _gen_coverage_payload(rng, n)
+        cut = DirectedCut(n, _gen_cut_desc(rng, n)["arcs"])
+        cov_desc = _gen_coverage_desc(rng, n)
         cov = Coverage(n, cov_desc["covers"], cov_desc["item_weights"])
         table = cut.full_table() + cov.full_table()
         fdesc = {"kind": "explicit-table", "values": table.tolist()}
-    cdesc = _gen_constraint_payload(rng, n, constraint)
-    inst = InstanceFile(n=n, function=fdesc, constraint=cdesc)
+    cdesc = _gen_constraint_desc(rng, n, constraint)
     meta = {"name": f"{kind}-{constraint}-n{n}-s{seed}", "seed": int(seed),
             "generator": f"{kind}/{constraint}"}
-    if n <= 12:
-        meta["monotone"] = _monotone_exhaustive(inst.build_function())
-    inst.metadata = meta
-    return inst
+    return InstanceFile(n=n, function=fdesc, constraint=cdesc, metadata=meta)
 
 
 def desk_corpus(seed: int = 1) -> list[InstanceFile]:

@@ -6,8 +6,8 @@ y <= x in C implies y in C.  Every body is a set of disjoint packing rows
 matroid one unit-cost row per block, a knapsack one row with its own costs.
 One oracle serves all three: ``linear_maximize`` solves  max <w, c>  over
 c in C, ||c||_inf <= alpha  exactly, by a fractional-knapsack greedy per row.
-``contains_set`` and ``contains_point`` test membership of 0/1 sets and
-fractional points, used by the brute-force verification oracles.
+``contains_point`` tests membership of a fractional point; each body's
+``contains_mask_batch`` tests integer sets for the brute-force oracle.
 
 Tie-breaking in every greedy sort is lowest index first, and nonpositive
 weights are zeroed before assigning mass: by down-closedness a coordinate
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSubsetError
-from .setfn import GroundSet, Point, SubsetLike, as_array, as_ground, as_mask, _mask_bits
+from .setfn import GroundSet, Point, as_array, as_ground, _mask_bits
 
 FEAS_TOL = 1e-9
 
@@ -40,7 +40,7 @@ class CapParam:
 class Polytope:
     """{ x in [0,1]^n : <costs, x[indices]> <= budget for every row }; each
     subclass builds ``rows``, a list of (indices, costs, budget) with disjoint
-    ascending indices and positive costs, from the payload it validates."""
+    ascending indices and positive costs, from the arguments it validates."""
 
     kind = "abstract"
 
@@ -75,11 +75,6 @@ class Polytope:
                 out[i] = fill = min(alpha, remaining / ci)
                 remaining -= fill * ci
 
-    def contains_set(self, S: SubsetLike) -> bool:
-        """Whether the indicator vector of S lies in C."""
-        mask = as_mask(S, self.n)
-        return bool(self.contains_mask_batch(np.array([mask], dtype=np.int64))[0])
-
     def contains_mask_batch(self, masks: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -95,9 +90,6 @@ class Polytope:
     def _satisfies(self, x: np.ndarray) -> bool:
         return all(x[idx] @ cost <= budget + FEAS_TOL
                    for idx, cost, budget in self.rows)
-
-    def payload(self) -> dict:
-        raise NotImplementedError
 
     def describe(self) -> str:
         return self.kind
@@ -118,9 +110,6 @@ class CardinalityPolytope(Polytope):
     def contains_mask_batch(self, masks):
         bits = _mask_bits(masks, self.n)
         return bits.sum(axis=1) <= self.k + FEAS_TOL
-
-    def payload(self):
-        return {"k": self.k}
 
     def describe(self):
         return f"cardinality(k={self.k:g})"
@@ -162,10 +151,6 @@ class PartitionMatroidPolytope(Polytope):
             ok &= bits[:, b].sum(axis=1) <= kb + FEAS_TOL
         return ok
 
-    def payload(self):
-        return {"blocks": [b.tolist() for b in self.blocks],
-                "budgets": self.budgets.tolist()}
-
     def describe(self):
         return f"partition({len(self.blocks)} blocks)"
 
@@ -192,9 +177,6 @@ class KnapsackPolytope(Polytope):
     def contains_mask_batch(self, masks):
         bits = _mask_bits(masks, self.n)
         return bits.astype(float) @ self.costs <= self.budget + FEAS_TOL
-
-    def payload(self):
-        return {"costs": self.costs.tolist(), "budget": self.budget}
 
     def describe(self):
         return f"knapsack(B={self.budget:g})"

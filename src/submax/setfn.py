@@ -75,8 +75,7 @@ def mask_to_set(mask: int) -> frozenset[int]:
 
 
 class Point:
-    """A vector in [0,1]^n with the coordinatewise operations the algorithms
-    use: x*y (product), x|y (max), x&y (min), ~x (1-x)."""
+    """A vector in [0,1]^n, read-only once built."""
 
     __slots__ = ("v",)
 
@@ -117,29 +116,8 @@ class Point:
     def n(self) -> int:
         return self.v.size
 
-    def __mul__(self, other: "Point") -> "Point":
-        return Point(self.v * other.v)
-
-    def __or__(self, other: "Point") -> "Point":
-        return Point(np.maximum(self.v, other.v))
-
-    def __and__(self, other: "Point") -> "Point":
-        return Point(np.minimum(self.v, other.v))
-
-    def __invert__(self) -> "Point":
-        return Point(1.0 - self.v)
-
-    def __le__(self, other: "Point") -> bool:
-        return bool(np.all(self.v <= other.v + COORD_TOL))
-
     def norm_inf(self) -> float:
         return float(np.max(self.v))
-
-    def norm_1(self) -> float:
-        return float(np.sum(self.v))
-
-    def dot(self, other: "Point") -> float:
-        return float(self.v @ other.v)
 
     def __repr__(self):
         return f"Point({self.v.tolist()})"
@@ -223,10 +201,6 @@ class SetFunction:
             self._table = out
         return self._table
 
-    def payload(self) -> dict:
-        """Kind-specific payload for serialization."""
-        raise NotImplementedError
-
 
 def _mask_bits(masks: np.ndarray, n: int) -> np.ndarray:
     """(m,) int masks -> (m, n) boolean membership matrix."""
@@ -260,9 +234,6 @@ class ExplicitTable(SetFunction):
         if masks.size and (masks.min() < 0 or masks.max() >> self.n):
             raise InvalidSubsetError("bitmask outside ground set")
         return self.values[masks]
-
-    def payload(self) -> dict:
-        return {"values": self.values.tolist()}
 
 
 def _check_submodular_table(vals: np.ndarray, n: int, tol: float = 1e-9) -> None:
@@ -337,10 +308,6 @@ class DirectedCut(SetFunction):
                               minlength=self.n)
         return out_gain - in_loss
 
-    def payload(self) -> dict:
-        return {"arcs": [[int(a), int(b), float(wt)]
-                         for a, b, wt in zip(self.src, self.dst, self.w)]}
-
 
 class Coverage(SetFunction):
     """Weighted coverage: element i covers a fixed item set, and
@@ -357,10 +324,9 @@ class Coverage(SetFunction):
             raise ValueError("item weights must be finite and nonnegative")
         if len(covers) != self.n:
             raise ValueError(f"need one cover list per element, got {len(covers)}")
-        self.covers = [sorted(int(j) for j in c) for c in covers]
         inc = np.zeros((self.n, m), dtype=bool)
-        for i, items in enumerate(self.covers):
-            for j in items:
+        for i, c in enumerate(covers):
+            for j in sorted(int(j) for j in c):
                 if j < 0 or j >= m:
                     raise InvalidSubsetError(f"item {j} outside item universe of size {m}")
                 inc[i, j] = True
@@ -397,10 +363,6 @@ class Coverage(SetFunction):
         np.cumprod(miss[:-1], axis=0, out=loo[1:])
         loo[:-1] *= np.cumprod(miss[:0:-1], axis=0)[::-1]
         return (loo * self.incidence) @ self.item_weights
-
-    def payload(self) -> dict:
-        return {"covers": [list(c) for c in self.covers],
-                "item_weights": self.item_weights.tolist()}
 
 
 # ---------------------------------------------------------------------------
@@ -460,11 +422,6 @@ def _vertex_values(f: SetFunction, R: np.ndarray) -> np.ndarray:
         return f.closed_form_batch(R.astype(float))
     masks = R @ (np.int64(1) << np.arange(f.n, dtype=np.int64))
     return f.value_batch(masks)
-
-
-def eval_set(f: SetFunction, S: SubsetLike) -> float:
-    """f(S); deterministic value-oracle access."""
-    return f.value(S)
 
 
 def multilinear(f: SetFunction, x, cfg: EstimatorConfig | None = None) -> float:

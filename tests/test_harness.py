@@ -7,8 +7,15 @@ import pytest
 
 import submax as sm
 from submax import InstanceFormatError
-from submax.cli import main, parse_theta_grid
+from submax.cli import _run_config, build_parser, main, parse_theta_grid
 from submax.instances import CSV_HEADER
+
+
+def is_monotone(f) -> bool:
+    table = f.full_table()
+    masks = np.arange(table.size)
+    return all(np.min(table[masks | (1 << i)] - table[masks]) >= -1e-12
+               for i in range(f.n))
 
 
 class TestGeneration:
@@ -34,20 +41,28 @@ class TestGeneration:
         with pytest.raises(InstanceFormatError, match="n <= 16, got n=20"):
             sm.gen("explicit-table", 20, "cardinality", 0)
 
-    def test_coverage_flagged_monotone(self):
-        inst = sm.gen("coverage", 10, "knapsack", 5)
-        assert inst.metadata["monotone"] is True
+    def test_coverage_monotone(self):
         # verified exhaustively: adding an element never hurts
-        table = inst.build_function().full_table()
-        masks = np.arange(1 << 10)
-        for i in range(10):
-            base = masks[(masks & (1 << i)) == 0]
-            assert np.min(table[base | (1 << i)] - table[base]) >= -1e-12
+        assert is_monotone(sm.gen("coverage", 10, "knapsack", 5).build_function())
 
     def test_cut_genuinely_non_monotone(self):
         for seed in range(5):
             inst = sm.gen("directed-cut", 8, "cardinality", seed)
-            assert inst.metadata["monotone"] is False
+            assert not is_monotone(inst.build_function())
+
+    @pytest.mark.parametrize("constraint", ["cardinality", "partition-matroid",
+                                            "knapsack"])
+    def test_gen_builds_no_subset_table(self, monkeypatch, constraint):
+        def refuse(self):
+            raise RuntimeError("full_table called")
+        with monkeypatch.context() as m:
+            m.setattr(sm.SetFunction, "full_table", refuse)
+            for kind in ("directed-cut", "coverage"):
+                sm.gen(kind, 12, constraint, 1)
+            with pytest.raises(RuntimeError, match="full_table called"):
+                sm.gen("explicit-table", 12, constraint, 1)
+        inst = sm.gen("explicit-table", 12, constraint, 1)
+        assert len(inst.function["values"]) == 1 << 12
 
     def test_weights_in_unit_interval(self):
         inst = sm.gen("directed-cut", 8, "knapsack", 11)
@@ -71,7 +86,9 @@ class TestSerialization:
         f1, C1 = inst.build()
         f2, C2 = sm.parse_instance(inst.to_json()).build()
         assert np.array_equal(f1.full_table(), f2.full_table())
-        assert C1.payload() == C2.payload()
+        assert len(C1.rows) == len(C2.rows)
+        for (i1, c1, b1), (i2, c2, b2) in zip(C1.rows, C2.rows):
+            assert np.array_equal(i1, i2) and np.array_equal(c1, c2) and b1 == b2
 
     def test_unknown_function_kind_versioned_error(self):
         doc = json.loads(sm.gen("directed-cut", 4, "cardinality", 0).to_json())
@@ -137,9 +154,13 @@ class TestRunRecords:
 class TestThetaGridParsing:
     def test_default_grid_string(self):
         grid = parse_theta_grid("0:0.02:1,+0.18")
+        assert grid == sm.default_theta_grid()
         assert grid[0] == 0.0 and grid[-1] == 1.0
         assert 0.18 in grid
         assert len(grid) == 51
+
+    def test_run_flags_default_to_run_config(self):
+        assert _run_config(build_parser().parse_args(["verify"])) == sm.RunConfig()
 
     def test_single_values(self):
         assert parse_theta_grid("0.5") == (0.5,)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import submax as sm
-from submax import CapParam
+from submax import CapParam, Point
 
 from helpers import random_constraint
 
@@ -60,21 +60,36 @@ class TestLinearMaximizeExamples:
             C.linear_maximize([np.inf, 0.0])
 
 
+def contains(C, S) -> bool:
+    """Membership of the set S by its indicator point, checked against the
+    integer-mask oracle wherever S fits an int64 bitmask."""
+    inside = C.contains_point(Point.indicator(C.n, S))
+    if max(S, default=0) < 63:
+        mask = np.array([sum(1 << i for i in S)], dtype=np.int64)
+        assert bool(C.contains_mask_batch(mask)[0]) == inside
+    return inside
+
+
 class TestContains:
     def test_cardinality_sets(self):
         C = sm.CardinalityPolytope(3, 2)
-        assert C.contains_set({0, 1})
-        assert not C.contains_set({0, 1, 2})
+        assert contains(C, {0, 1})
+        assert not contains(C, {0, 1, 2})
 
     def test_knapsack_set_boundary(self):
         C = sm.KnapsackPolytope(2, [1.0, 2.0], 2.0)
-        assert C.contains_set({1})        # cost 2 <= 2
-        assert not C.contains_set({0, 1})  # cost 3 > 2
+        assert contains(C, {1})        # cost 2 <= 2
+        assert not contains(C, {0, 1})  # cost 3 > 2
 
     def test_partition_sets(self):
         C = sm.PartitionMatroidPolytope(4, [[0, 1], [2, 3]], [1, 2])
-        assert C.contains_set({0, 2, 3})
-        assert not C.contains_set({0, 1})
+        assert contains(C, {0, 2, 3})
+        assert not contains(C, {0, 1})
+
+    def test_set_beyond_int64_bitmask(self):
+        C = sm.CardinalityPolytope(100, 5)
+        assert contains(C, {80})
+        assert not contains(C, {60, 70, 80, 90, 95, 99})
 
     def test_points(self):
         C2 = sm.CardinalityPolytope(3, 2)

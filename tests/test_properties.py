@@ -112,8 +112,8 @@ def test_submodularity_of_generated_families():
         for _ in range(200):
             A = int(rng.integers(1 << n))
             B = int(rng.integers(1 << n))
-            lhs = sm.eval_set(f, A) + sm.eval_set(f, B)
-            rhs = sm.eval_set(f, A | B) + sm.eval_set(f, A & B)
+            lhs = f.value(A) + f.value(B)
+            rhs = f.value(A | B) + f.value(A & B)
             assert lhs >= rhs - 1e-9
 
 

@@ -25,8 +25,8 @@ class TestBruteForceOpt:
         assert S == frozenset() and val == 0.0
 
     def test_matches_nested_loop_enumeration(self):
-        # second, independently coded enumeration with payload-level
-        # feasibility (not contains_set)
+        # second, independently coded enumeration with feasibility counted
+        # from the block lists (not contains_mask_batch)
         rng = np.random.default_rng(70)
         f = random_table_function(rng, 8)
         blocks = [[0, 1, 2], [3, 4], [5, 6, 7]]
@@ -38,12 +38,12 @@ class TestBruteForceOpt:
                 counts = [sum(1 for e in T if e in b) for b in blocks]
                 if any(c > k for c, k in zip(counts, budgets)):
                     continue
-                v = sm.eval_set(f, set(T))
+                v = f.value(set(T))
                 if v > best_val:
                     best_val, best_set = v, frozenset(T)
         S, val = sm.brute_force_opt(f, C)
         assert val == pytest.approx(best_val, abs=1e-12)
-        assert sm.eval_set(f, S) == pytest.approx(best_val, abs=1e-12)
+        assert f.value(S) == pytest.approx(best_val, abs=1e-12)
 
     def test_dominates_feasible_indicator_points(self):
         rng = np.random.default_rng(71)
@@ -51,8 +51,8 @@ class TestBruteForceOpt:
         C = sm.KnapsackPolytope(7, 0.5 + rng.random(7), 2.0)
         _, val = sm.brute_force_opt(f, C)
         for mask in range(1 << 7):
-            if C.contains_set(mask):
-                assert sm.eval_set(f, mask) <= val + 1e-12
+            if C.contains_point(Point.indicator(7, mask)):
+                assert f.value(mask) <= val + 1e-12
 
     def test_size_limit(self):
         f = sm.DirectedCut(21, [(0, 1, 1.0)])
@@ -139,7 +139,7 @@ class TestJoinLowerBound:
             x = np.zeros(5)
             ind = Point.indicator(5, mask).v
             lhs = sm.multilinear(f, np.maximum(x, ind))
-            assert lhs == pytest.approx(sm.eval_set(f, mask), abs=1e-12)
+            assert lhs == pytest.approx(f.value(mask), abs=1e-12)
             assert sm.check_x_or_opt(f, x, mask)
 
     def test_full_infinity_norm(self):
@@ -166,6 +166,28 @@ class TestPropertySuite:
         hard_failures = [r for r in results if r.hard and not r.passed]
         assert not hard_failures, [r.name for r in hard_failures]
         assert any("ratio" in r.name for r in results)
+
+    def test_envelope_line_reports_the_worst_margin(self, monkeypatch):
+        name = "trajectory envelopes hold at every step"
+        f, C = sm.gen("coverage", 6, "knapsack", 3).build()
+        run = sm.RunConfig(delta=0.05, theta_grid=(0.0, 0.2, 1.0))
+        report = sm.solve(f, C, run)
+        worst = min(min(r.dampened_margin, r.standard_margin)
+                    for r in report.per_theta)
+        assert 0.0 <= worst < np.inf
+        check = {r.name: r for r in sm.verify.solver_checks(f, C, run)}[name]
+        assert check.hard and check.passed
+        assert check.detail == f"worst margin {worst:.2e}"
+        # a margin below -ENV_TOL fails the line
+        solve = sm.verify.solve
+
+        def broken(*args, **kwargs):
+            out = solve(*args, **kwargs)
+            out.per_theta[1].standard_margin = -1e-9
+            return out
+        monkeypatch.setattr(sm.verify, "solve", broken)
+        check = {r.name: r for r in sm.verify.solver_checks(f, C, run)}[name]
+        assert not check.passed and check.detail == "worst margin -1.00e-09"
 
     def test_closed_form_gradient_check_runs_and_catches_a_wrong_gradient(
             self, monkeypatch):
