@@ -50,7 +50,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=["exact", "closed", "mc"], default=None,
                    help="extension evaluation mode (default: closed when "
                         "available, exact otherwise)")
-    p.add_argument("--samples", type=int, default=100_000,
+    p.add_argument("--samples", type=int, default=EstimatorConfig.sample_count,
                    help="sample count for mc mode")
     p.add_argument("--seed", type=int, default=0, help="root seed")
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cgreedy import RunConfig, solve
-from .errors import InstanceFormatError
+from .errors import InstanceFormatError, InvalidSubsetError
 from .setfn import Coverage, DirectedCut, ExplicitTable, SetFunction
 from .polytope import (CardinalityPolytope, KnapsackPolytope,
                        PartitionMatroidPolytope, Polytope)
@@ -26,6 +26,8 @@ CONSTRAINT_KINDS = ("cardinality", "partition-matroid", "knapsack")
 # generating a table enumerates cut and coverage over all 2^n subsets, with
 # a (2^n x arcs) intermediate: over 1 GB at n=20
 TABLE_GEN_LIMIT = 16
+# generating a cut and solving build (n x n) arrays: 128 MB of floats at 4096
+N_LIMIT = 4096
 
 CSV_HEADER = "instance,n,constraint,alpha,delta,theta_best,best_value,opt_value,ratio"
 
@@ -73,8 +75,9 @@ class InstanceFile:
             if fld not in doc:
                 raise InstanceFormatError(f"missing required field {fld!r}")
         n = doc["n"]
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise InstanceFormatError(f"field 'n' must be a positive integer, got {n!r}")
+        if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= N_LIMIT:
+            raise InstanceFormatError(
+                f"field 'n' must be a positive integer <= {N_LIMIT}, got {n!r}")
         for fld in ("function", "constraint", "metadata"):
             if not isinstance(doc.get(fld, {}), dict):
                 raise InstanceFormatError(f"field {fld!r} must be a JSON object")
@@ -103,7 +106,7 @@ class InstanceFile:
         except KeyError as e:
             raise InstanceFormatError(
                 f"function payload missing field {e.args[0]!r}") from e
-        except (TypeError, ValueError, IndexError) as e:
+        except (TypeError, ValueError, IndexError, InvalidSubsetError) as e:
             raise InstanceFormatError(f"invalid {kind} function payload: {e}") from e
 
     def build_constraint(self) -> Polytope:
@@ -118,7 +121,7 @@ class InstanceFile:
         except KeyError as e:
             raise InstanceFormatError(
                 f"constraint payload missing field {e.args[0]!r}") from e
-        except (TypeError, ValueError, IndexError) as e:
+        except (TypeError, ValueError, IndexError, InvalidSubsetError) as e:
             raise InstanceFormatError(f"invalid {kind} constraint payload: {e}") from e
 
     def build(self) -> tuple[SetFunction, Polytope]:
@@ -191,8 +194,8 @@ def gen(kind: str, n: int, constraint: str, seed: int) -> InstanceFile:
         raise InstanceFormatError(f"unknown function kind {kind!r}")
     if constraint not in CONSTRAINT_KINDS:
         raise InstanceFormatError(f"unknown constraint kind {constraint!r}")
-    if n < 2:
-        raise InstanceFormatError("generated instances need n >= 2")
+    if not 2 <= n <= N_LIMIT:
+        raise InstanceFormatError(f"generated instances need 2 <= n <= {N_LIMIT}")
     if kind == "explicit-table" and n > TABLE_GEN_LIMIT:
         raise InstanceFormatError(
             f"explicit-table generation limited to n <= {TABLE_GEN_LIMIT}, got n={n}")

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSubsetError
-from .setfn import GroundSet, Point, as_array, as_ground, _mask_bits
+from .setfn import (GroundSet, Point, as_array, as_ground, _indices, _mask_bits,
+                    _reals)
 
 FEAS_TOL = 1e-9
 
@@ -123,23 +123,18 @@ class PartitionMatroidPolytope(Polytope):
 
     def __init__(self, ground: GroundSet | int, blocks, budgets):
         super().__init__(ground)
-        self.blocks = [np.array(sorted(int(i) for i in b), dtype=np.int64) for b in blocks]
-        self.budgets = np.array(budgets, dtype=float)
+        self.blocks = [np.sort(_indices(b, self.n, "block element")) for b in blocks]
+        self.budgets = _reals(budgets, "block budgets")
         if len(self.blocks) != self.budgets.size:
             raise ValueError("need one budget per block")
-        if self.budgets.size == 0 or not np.all((self.budgets > 0)
-                                                & np.isfinite(self.budgets)):
+        if self.budgets.size == 0 or self.budgets.min() <= 0:
             raise ValueError("block budgets must be positive and finite")
-        seen = np.zeros(self.n, dtype=bool)
-        for b in self.blocks:
-            if b.size == 0:
-                raise ValueError("empty blocks are not allowed")
-            if b.min() < 0 or b.max() >= self.n:
-                raise InvalidSubsetError("block element outside ground set")
-            if seen[b].any():
-                raise ValueError("blocks must be disjoint")
-            seen[b] = True
-        if not seen.all():
+        if any(b.size == 0 for b in self.blocks):
+            raise ValueError("empty blocks are not allowed")
+        uses = np.bincount(np.concatenate(self.blocks), minlength=self.n)
+        if uses.max() > 1:
+            raise ValueError("blocks must be disjoint")
+        if uses.min() == 0:
             raise ValueError("blocks must cover the ground set")
         self.rows = [(b, np.ones(b.size), float(kb))
                      for b, kb in zip(self.blocks, self.budgets)]
@@ -164,10 +159,10 @@ class KnapsackPolytope(Polytope):
 
     def __init__(self, ground: GroundSet | int, costs, budget: float):
         super().__init__(ground)
-        self.costs = np.array(costs, dtype=float)
+        self.costs = _reals(costs, "knapsack costs")
         if self.costs.size != self.n:
             raise ValueError(f"need one cost per element, got {self.costs.size}")
-        if self.costs.min() <= 0 or not np.all(np.isfinite(self.costs)):
+        if self.costs.min() <= 0:
             raise ValueError("knapsack costs must be strictly positive and finite")
         if not (0 < budget < np.inf):
             raise ValueError(f"budget must be positive and finite, got {budget}")

@@ -24,8 +24,9 @@ def _report(num, name, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def corpus_runs():
-    """Solve the whole desk corpus once: alpha=0.5, delta=0.005, exact
-    (closed-form) evaluation, brute-force optimum attached."""
+    """Solve the whole desk corpus once: alpha=0.5, delta=0.005, closed-form
+    evaluation (the default for cut and coverage), brute-force optimum
+    attached."""
     runs = []
     run = RunConfig()  # alpha 0.5, delta 0.005, 51-point theta grid incl 0.18
     for inst in sm.desk_corpus(CORPUS_SEED):

@@ -1,9 +1,12 @@
 """Instance documents, seeded generation, result records, and the CLI."""
 
 import json
+from functools import reduce
+from operator import getitem
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import submax as sm
 from submax import InstanceFormatError
@@ -223,8 +226,33 @@ class TestCli:
          lambda d: d["constraint"].update(budget=float("nan")), "positive and finite"),
         ("coverage", "cardinality",
          lambda d: d["constraint"].update(k=float("inf")), "positive and finite"),
+        ("coverage", "knapsack",
+         lambda d: d["function"].update(
+             item_weights=[[w] for w in d["function"]["item_weights"]]),
+         "item weights must be a flat list of numbers"),
+        ("directed-cut", "knapsack",
+         lambda d: d["constraint"].update(costs=[[c] for c in d["constraint"]["costs"]]),
+         "knapsack costs must be a flat list of numbers"),
+        ("directed-cut", "cardinality",
+         lambda d: d["function"]["arcs"][0].__setitem__(0, 0.5),
+         "arc endpoint 0.5 is not an integer index"),
+        ("coverage", "cardinality",
+         lambda d: d["function"]["covers"][0].append(0.5),
+         "covered item 0.5 is not an integer index"),
+        ("directed-cut", "partition-matroid",
+         lambda d: d["constraint"]["blocks"][0].__setitem__(0, 2.7),
+         "block element 2.7 is not an integer index"),
+        ("directed-cut", "cardinality",
+         lambda d: d["function"]["arcs"][0].append(1.0),
+         "each arc must be [tail, head, weight]"),
+        ("directed-cut", "cardinality",
+         lambda d: d.update(n=4097), "'n' must be a positive integer <= 4096"),
+        ("directed-cut", "partition-matroid",
+         lambda d: d.update(n=2**63), "'n' must be a positive integer <= 4096"),
     ], ids=["function-list", "n-string", "two-element-arc", "budget-string",
-            "budget-nan", "k-infinity"])
+            "budget-nan", "k-infinity", "item-weights-2d", "costs-2d",
+            "fractional-endpoint", "fractional-item", "fractional-block-element",
+            "four-element-arc", "cut-n-4097", "partition-n-2^63"])
     def test_malformed_instance_is_a_format_error(self, tmp_path, capsys, kind,
                                                   constraint, mutate, message):
         doc = json.loads(sm.gen(kind, 4, constraint, 0).to_json())
@@ -322,3 +350,82 @@ class TestCli:
                              capture_output=True, text=True)
         assert res.returncode == 0
         assert "0.3721" in res.stdout
+
+
+# ---------------------------------------------------------------------------
+# CLI fuzzing: mutated instance documents exit 0 or 2, never with a traceback
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers(-3, 40)
+                 | st.sampled_from([2**31, 2**63, 2**64, -2**64])
+                 | st.floats() | st.text(max_size=3))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=6)
+
+
+def _locations(node, path=()):
+    """(path, value) for every location in a JSON document, the root
+    excluded."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    elif isinstance(node, list):
+        items = list(enumerate(node))
+    else:
+        return
+    for key, child in items:
+        yield path + (key,), child
+        yield from _locations(child, path + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    kind = draw(st.sampled_from(sm.instances.FUNCTION_KINDS))
+    constraint = draw(st.sampled_from(sm.instances.CONSTRAINT_KINDS))
+    doc = json.loads(sm.gen(kind, draw(st.integers(2, 5)), constraint,
+                            draw(st.integers(0, 3))).to_json())
+    for _ in range(draw(st.integers(1, 3))):
+        # a third of the picks go to a top-level field such as n, and a third
+        # to a list or object, so whole fields are mutated about as often as
+        # single numbers
+        found = list(_locations(doc))
+        where = st.sampled_from([path for path, _ in found])
+        fields = [path for path, v in found if isinstance(v, (list, dict))]
+        if fields:
+            where = st.sampled_from(fields) | where
+        where = st.sampled_from([path for path, _ in found if len(path) == 1]) | where
+        path = draw(where)
+        parent, key = reduce(getitem, path[:-1], doc), path[-1]
+        old = parent[key]
+        action = draw(st.sampled_from(["replace", "delete", "wrap", "wrap items",
+                                       "append", "nudge", "scale"]))
+        if action == "replace":
+            parent[key] = draw(_JSON_SCALARS | _JSON_VALUES)
+        elif action == "delete":
+            del parent[key]
+        elif action == "wrap":
+            parent[key] = [old]
+        elif action == "wrap items" and isinstance(old, list):
+            parent[key] = [[v] for v in old]
+        elif action == "append" and isinstance(old, list):
+            old.append(draw(_JSON_VALUES))
+        elif action == "nudge" and isinstance(old, (int, float)) \
+                and not isinstance(old, bool):
+            parent[key] = old + draw(st.sampled_from([-1, 1, -0.5, 0.5, 1e-9]))
+        elif action == "scale" and isinstance(old, list):
+            factor = draw(st.sampled_from([-1.0, 0.0, 1e-300, 1e308]) | st.floats())
+            parent[key] = [v * factor if isinstance(v, (int, float))
+                           and not isinstance(v, bool) else v for v in old]
+    return doc
+
+
+@given(doc=mutated_documents())
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_cli_solve_on_mutated_documents_exits_0_or_2(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("fuzz") / "inst.json"
+    path.write_text(json.dumps(doc))
+    code = main(["solve", str(path), "--no-opt", "--delta", "0.25",
+                 "--theta-grid", "0,0.25", "--out", str(path.with_suffix(".out"))])
+    assert code in (0, 2)

@@ -73,6 +73,31 @@ class TestMultilinear:
             assert sm.multilinear(f, x, EXACT) == pytest.approx(
                 brute_force_extension(f, x), abs=1e-11)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_exact_at_smallest_n_matches_independent_enumeration(self, n):
+        # at n=1 the contraction is one product, with no axis loop
+        rng = np.random.default_rng(40 + n)
+        table = [0.3, 1.7] if n == 1 else random_table_function(rng, 2).values
+        X = np.vstack([np.zeros(n), np.ones(n), rng.random((6, n))])
+        for f in (random_coverage(rng, n), sm.ExplicitTable(n, table)):
+            got = sm.multilinear_batch(f, X, EXACT)
+            for x, val in zip(X, got):
+                assert val == pytest.approx(brute_force_extension(f, x), abs=1e-12)
+
+    def test_exact_batch_across_row_chunks(self):
+        # n=20 holds 16 rows per chunk; 45 rows take three chunks
+        rng = np.random.default_rng(21)
+        arcs = [(0, 19, 0.7), (19, 3, 1.0), (5, 12, 0.4), (12, 5, 0.9),
+                (7, 0, 0.2), (16, 9, 0.6)]
+        f = sm.DirectedCut(20, arcs)
+        X = rng.random((45, 20))
+        X[3] = 0.0
+        X[40] = 1.0
+        got = sm.multilinear_batch(f, X, EXACT)
+        one_by_one = [sm.multilinear_batch(f, x[None, :], EXACT)[0] for x in X]
+        assert np.max(np.abs(got - one_by_one)) <= 1e-12
+        assert np.max(np.abs(got - f.closed_form_batch(X))) <= 1e-12
+
     def test_closed_matches_exact(self):
         from helpers import random_coverage, random_cut
         rng = np.random.default_rng(11)

@@ -203,3 +203,19 @@ class TestPropertySuite:
                             lambda self, x: good(self, x) * (1.0 + 1e-9))
         check = {r.name: r for r in sm.verify.calculus_checks(f, rng, 5)}[name]
         assert not check.passed
+
+    def test_vertex_check_reaches_every_element_past_bit_62(self):
+        # at n=100 the check runs on the closed form; one that is wrong only
+        # on sets holding element 80 must fail it
+        name = "extension agrees with f on 0/1 points"
+        rng = np.random.default_rng(9)
+        f = sm.gen("directed-cut", 100, "cardinality", 2).build_function()
+        check = {r.name: r for r in sm.verify.extension_checks(f, rng)}[name]
+        assert check.hard and check.passed
+
+        class WrongAt80(sm.DirectedCut):
+            def closed_form_batch(self, X):
+                return super().closed_form_batch(X) + X[:, 80]
+        bad = WrongAt80(100, zip(f.src.tolist(), f.dst.tolist(), f.w.tolist()))
+        check = {r.name: r for r in sm.verify.extension_checks(bad, rng)}[name]
+        assert not check.passed
