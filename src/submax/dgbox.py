@@ -1,13 +1,16 @@
 """Double greedy for maximizing the multilinear extension over a box [u, v].
 
 The box is narrowed one coordinate per iteration.  At coordinate i the two
-candidate moves are scored with exact extension values,
+candidate moves are scored with exact partial derivatives of F,
 
-    a_i = (v_i - u_i) * (F(lo with x_i=1) - F(lo with x_i=0))
-    b_i = (v_i - u_i) * (F(hi with x_i=0) - F(hi with x_i=1))
+    a_i =  (v_i - u_i) * dF/dx_i(lo) = (v_i - u_i) * (F(lo, x_i=1) - F(lo, x_i=0))
+    b_i = -(v_i - u_i) * dF/dx_i(hi) = (v_i - u_i) * (F(hi, x_i=0) - F(hi, x_i=1))
 
-where lo/hi are the current lower/upper corners, and both corners move toward
-each other in proportion to the clipped gains a'_i = max(a_i, 0),
+where lo/hi are the current lower/upper corners; the two forms agree because
+F is linear in x_i.  Closed mode takes the partials, one
+``closed_form_partial`` call on the two corners per coordinate; exact mode
+(and so explicit tables) evaluates the four extension rows.  Both corners
+move toward each other in proportion to the clipped gains a'_i = max(a_i, 0),
 b'_i = max(b_i, 0).  When both clipped gains vanish the coordinate can be
 pinned anywhere; we pin it to the current upper value.  The returned point x
 satisfies
@@ -69,16 +72,22 @@ def double_greedy_box_run(inst: BoxInstance) -> BoxRun:
     b = np.zeros(n)
     lowers = [lo.copy()]
     uppers = [hi.copy()]
+    closed = cfg.mode == "closed"
     for i in range(n):
         width = hi[i] - lo[i]
-        X = np.vstack([lo, lo, hi, hi])
-        X[0, i] = 1.0
-        X[1, i] = 0.0
-        X[2, i] = 0.0
-        X[3, i] = 1.0
-        f_lo1, f_lo0, f_hi0, f_hi1 = multilinear_batch(f, X, cfg)
-        a[i] = width * (f_lo1 - f_lo0)
-        b[i] = width * (f_hi0 - f_hi1)
+        if closed:
+            d_lo, d_hi = f.closed_form_partial(i, np.stack([lo, hi]))
+            a[i] = width * d_lo
+            b[i] = -width * d_hi
+        else:
+            X = np.vstack([lo, lo, hi, hi])
+            X[0, i] = 1.0
+            X[1, i] = 0.0
+            X[2, i] = 0.0
+            X[3, i] = 1.0
+            f_lo1, f_lo0, f_hi0, f_hi1 = multilinear_batch(f, X, cfg)
+            a[i] = width * (f_lo1 - f_lo0)
+            b[i] = width * (f_hi0 - f_hi1)
         ap = max(a[i], 0.0)
         bp = max(b[i], 0.0)
         if ap + bp > 0.0:

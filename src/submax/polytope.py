@@ -16,7 +16,9 @@ with w_i <= 0 can always be dropped without losing objective value.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,18 +58,28 @@ class Polytope:
         wv = as_array(w)
         if wv.size != self.n:
             raise ValueError(f"weight vector has {wv.size} coordinates, expected {self.n}")
-        if not np.all(np.isfinite(wv)):
+        top = np.abs(wv).max()
+        if not top < np.inf:
             raise ValueError("weights must be finite")
         c = np.zeros(self.n)
-        self._greedy_fill(wv, float(cap.alpha), c)
+        self._greedy_fill(wv, float(cap.alpha), c, top > self._no_overflow_below)
         return Point.trusted(c)
 
-    def _greedy_fill(self, w: np.ndarray, alpha: float, out: np.ndarray) -> None:
-        # w/cost descending; the stable sort sends ties to the lower index
+    @cached_property
+    def _no_overflow_below(self) -> float:
+        # no w/cost overflows while every |w| stays below this
+        return sys.float_info.max / 2 * float(min(cost.min() for _, cost, _ in self.rows))
+
+    def _greedy_fill(self, w: np.ndarray, alpha: float, out: np.ndarray,
+                     huge: bool) -> None:
+        # w/cost descending; the stable sort sends ties to the lower index.
+        # With huge weights w/cost may overflow, so the order comes from exact
+        # keys; otherwise from the float ratios themselves
         for idx, cost, budget in self.rows:
             pos = w[idx] > 0
             idx, cost = idx[pos], cost[pos]
-            order = np.argsort(-(w[idx] / cost), kind="stable")
+            order = (_exact_ratio_order(w[idx], cost) if huge
+                     else np.argsort(-(w[idx] / cost), kind="stable"))
             remaining = budget
             for i, ci in zip(idx[order].tolist(), cost[order].tolist()):
                 if remaining <= 0:
@@ -93,6 +105,17 @@ class Polytope:
 
     def describe(self) -> str:
         return self.kind
+
+
+def _exact_ratio_order(w: np.ndarray, cost: np.ndarray) -> np.ndarray:
+    """Indices of positive w/cost in descending order, ties to the lower
+    index, ranked by the exact exponent and the correctly rounded mantissa
+    of each ratio, so no ratio overflows and normal-range ratios rank as
+    their float quotients do."""
+    mw, ew = np.frexp(w)
+    mc, ec = np.frexp(cost)
+    m, e = np.frexp(mw / mc)
+    return np.lexsort((-m, ec - ew - e))
 
 
 class CardinalityPolytope(Polytope):

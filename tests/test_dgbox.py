@@ -5,8 +5,47 @@ import pytest
 
 import submax as sm
 from submax import BoxInstance, EstimatorConfig, EstimatorError, InvalidBoxError, Point
+from submax.setfn import one_coordinate_gradient
+from submax.verify import dgbox_checks
 
-from helpers import random_box, random_function, random_table_function
+from helpers import (random_box, random_coverage, random_cut, random_function,
+                     random_table_function)
+
+CLOSED = EstimatorConfig(mode="closed")
+EXACT = EstimatorConfig(mode="exact")
+
+
+def four_row_run(f, u, v, cfg):
+    """The double greedy scored with four extension rows per coordinate,
+    a_i = w (F(lo, x_i=1) - F(lo, x_i=0)), b_i = w (F(hi, x_i=0) - F(hi, x_i=1)):
+    the reference the partial-derivative path is checked against."""
+    lo, hi = u.v.copy(), v.v.copy()
+    a, b = np.zeros(f.n), np.zeros(f.n)
+    for i in range(f.n):
+        width = hi[i] - lo[i]
+        X = np.vstack([lo, lo, hi, hi])
+        X[:, i] = [1.0, 0.0, 0.0, 1.0]
+        f_lo1, f_lo0, f_hi0, f_hi1 = sm.multilinear_batch(f, X, cfg)
+        a[i] = width * (f_lo1 - f_lo0)
+        b[i] = width * (f_hi0 - f_hi1)
+        ap, bp = max(a[i], 0.0), max(b[i], 0.0)
+        if ap + bp > 0.0:
+            lo[i] += (ap / (ap + bp)) * width
+            hi[i] = lo[i]
+        else:
+            lo[i] = hi[i]
+    return a, b, lo
+
+
+def assert_rel_close(got, ref, rtol):
+    # relative to the largest reference entry, so exact zeros compare too
+    assert np.max(np.abs(got - ref)) <= rtol * max(1.0, float(np.max(np.abs(ref))))
+
+
+def structural_functions(rng, n):
+    fs = [random_coverage(rng, n), sm.DirectedCut(n, []),
+          sm.Coverage(n, [[] for _ in range(n)], [])]
+    return fs + [random_cut(rng, n)] if n >= 2 else fs
 
 
 @pytest.fixture
@@ -119,3 +158,74 @@ class TestInvariants:
                     >= sm.multilinear(f, run.lowers[i]) - 1e-9
                 assert sm.multilinear(f, run.uppers[i + 1]) \
                     >= sm.multilinear(f, run.uppers[i]) - 1e-9
+
+
+class TestClosedFormPartials:
+    """Closed mode scores each coordinate with ``closed_form_partial``; the
+    four-row formula and the one-coordinate identity are its references."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_partial_matches_gradient_and_identity(self, n):
+        rng = np.random.default_rng(700 + n)
+        for f in structural_functions(rng, n):
+            X = rng.random((6, n))
+            X[0], X[1] = 0.0, 1.0
+            X[2:][rng.random((4, n)) < 0.3] = 0.0
+            X[2:][rng.random((4, n)) < 0.3] = 1.0
+            for i in range(n):
+                d = f.closed_form_partial(i, X)
+                assert d.shape == (6,)
+                for x, di in zip(X, d):
+                    g = f.closed_form_grad(x)
+                    ident = one_coordinate_gradient(f, x, CLOSED)
+                    tol = 1e-11 * max(1.0, float(np.max(np.abs(ident))))
+                    assert abs(di - g[i]) <= tol, (f.kind, i, x)
+                    assert abs(di - ident[i]) <= tol, (f.kind, i, x)
+
+    def test_coverage_partial_exact_where_a_coordinate_is_one(self):
+        f = sm.Coverage(3, [[0, 1], [0, 1, 2], []], [1.0, 2.0, 4.0])
+        X = np.array([[0.5, 1.0, 0.3]])
+        assert [f.closed_form_partial(i, X)[0] for i in range(3)] \
+            == [0.0, 0.5 * 3.0 + 4.0, 0.0]
+
+    def test_box_run_matches_four_row_formula(self):
+        rng = np.random.default_rng(71)
+        for trial in range(60):
+            n = int(rng.integers(2, 25))
+            f = random_cut(rng, n) if trial % 2 else random_coverage(rng, n)
+            u, v = random_box(rng, n)
+            if trial % 3 == 0:
+                u, v = Point.zeros(n), Point.ones(n)
+            run = sm.double_greedy_box_run(BoxInstance(f, u, v, CLOSED))
+            a, b, point = four_row_run(f, u, v, CLOSED)
+            assert_rel_close(run.a, a, 1e-11)
+            assert_rel_close(run.b, b, 1e-11)
+            assert np.max(np.abs(run.point.v - point)) <= 1e-12
+
+    def test_dgbox_checks_hold_on_100_closed_boxes(self):
+        rng = np.random.default_rng(72)
+        for f in (random_cut(rng, 7), random_coverage(rng, 7)):
+            results = dgbox_checks(f, rng, boxes=50)
+            assert all(r.passed for r in results), [r.line() for r in results]
+
+
+class TestScoringPath:
+    def test_closed_mode_evaluates_no_extension_rows(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("closed mode evaluated extension rows")
+        monkeypatch.setattr(sm.dgbox, "multilinear_batch", refuse)
+        rng = np.random.default_rng(73)
+        for f in (random_cut(rng, 9), random_coverage(rng, 9)):
+            u, v = random_box(rng, 9)
+            sm.double_greedy_box_run(BoxInstance(f, u, v, CLOSED))
+
+    def test_exact_mode_is_the_four_row_formula(self):
+        rng = np.random.default_rng(74)
+        for n in (2, 5, 8):
+            f = random_table_function(rng, n)
+            u, v = random_box(rng, n)
+            run = sm.double_greedy_box_run(BoxInstance(f, u, v, EXACT))
+            a, b, point = four_row_run(f, u, v, EXACT)
+            assert run.a.tolist() == a.tolist()
+            assert run.b.tolist() == b.tolist()
+            assert run.point.v.tolist() == point.tolist()

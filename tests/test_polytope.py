@@ -1,11 +1,14 @@
 """Constraint bodies: the capped linear oracle and membership tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import submax as sm
 from submax import CapParam, Point
+from submax.polytope import _exact_ratio_order
 
 from helpers import random_constraint
 
@@ -58,6 +61,37 @@ class TestLinearMaximizeExamples:
         C = sm.CardinalityPolytope(2, 1)
         with pytest.raises(ValueError):
             C.linear_maximize([np.inf, 0.0])
+
+    @pytest.mark.parametrize("w", [[np.nan, 0.0], [0.0, -np.inf]])
+    def test_nan_and_negative_infinite_weights_rejected(self, w):
+        with pytest.raises(ValueError):
+            sm.CardinalityPolytope(2, 1).linear_maximize(w)
+
+    def test_subnormal_costs_rank_exactly(self):
+        # every w/cost overflows to inf; the best item must still win
+        C = sm.KnapsackPolytope(3, [5e-324] * 3, 5e-324)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c = C.linear_maximize([0.1, 0.5, 0.3])
+        assert c.v.tolist() == [0.0, 1.0, 0.0]
+
+    def test_huge_weights_rank_as_their_ratios(self):
+        # ratios 2e308, 3.4e308, 4e308 (overflowing), 1: filled from the top
+        C = sm.KnapsackPolytope(4, [0.5, 0.5, 0.25, 1.0], 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c = C.linear_maximize([1e308, 1.7e308, 1e308, 1.0])
+        assert c.v.tolist() == [0.5, 1.0, 1.0, 0.0]
+
+    def test_exact_ratio_order_matches_float_ratios(self):
+        rng = np.random.default_rng(5)
+        for k in range(1, 40):
+            w = np.exp(rng.normal(0.0, 40.0, k))
+            cost = np.exp(rng.normal(0.0, 40.0, k))
+            if k % 2:  # rounded, so that ratios tie
+                w, cost = np.round(w, 1) + 0.5, np.round(cost) + 1.0
+            assert np.array_equal(_exact_ratio_order(w, cost),
+                                  np.argsort(-(w / cost), kind="stable"))
 
 
 def contains(C, S) -> bool:
