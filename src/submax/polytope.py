@@ -16,7 +16,6 @@ with w_i <= 0 can always be dropped without losing objective value.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -26,6 +25,10 @@ from .setfn import (GroundSet, Point, as_array, as_ground, _indices, _mask_bits,
                     _reals)
 
 FEAS_TOL = 1e-9
+# The greedy's sort keys of one row lie within a span of this many: a ratio's
+# exponent lies within +-2100 of the span's middle, and the key of a
+# nonpositive weight is the span's last.
+_ROW_SPAN = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -58,31 +61,42 @@ class Polytope:
         wv = as_array(w)
         if wv.size != self.n:
             raise ValueError(f"weight vector has {wv.size} coordinates, expected {self.n}")
-        top = np.abs(wv).max()
-        if not top < np.inf:
+        if not np.abs(wv).max() < np.inf:
             raise ValueError("weights must be finite")
         c = np.zeros(self.n)
-        self._greedy_fill(wv, float(cap.alpha), c, top > self._no_overflow_below)
+        self._greedy_fill(wv, float(cap.alpha), c)
         return Point.trusted(c)
 
     @cached_property
-    def _no_overflow_below(self) -> float:
-        # no w/cost overflows while every |w| stays below this
-        return sys.float_info.max / 2 * float(min(cost.min() for _, cost, _ in self.rows))
+    def _layout(self):
+        # the rows laid end to end: indices, costs, each cost's negated
+        # mantissa, each entry's sort-key origin and the key of a nonpositive
+        # weight (its row's end), and each row's (start, stop, budget)
+        idx, cost, budgets = zip(*self.rows)
+        sizes = [i.size for i in idx]
+        stops = np.cumsum(sizes).tolist()
+        mc, ec = np.frexp(np.concatenate(cost))
+        row = np.repeat(np.arange(len(sizes), dtype=np.int64) * _ROW_SPAN, sizes)
+        return (np.concatenate(idx), np.concatenate(cost), -mc,
+                row + _ROW_SPAN // 2 + ec, row + (_ROW_SPAN - 1),
+                list(zip([0] + stops[:-1], stops, budgets)))
 
-    def _greedy_fill(self, w: np.ndarray, alpha: float, out: np.ndarray,
-                     huge: bool) -> None:
-        # w/cost descending; the stable sort sends ties to the lower index.
-        # With huge weights w/cost may overflow, so the order comes from exact
-        # keys; otherwise from the float ratios themselves
-        for idx, cost, budget in self.rows:
-            pos = w[idx] > 0
-            idx, cost = idx[pos], cost[pos]
-            order = (_exact_ratio_order(w[idx], cost) if huge
-                     else np.argsort(-(w[idx] / cost), kind="stable"))
-            remaining = budget
-            for i, ci in zip(idx[order].tolist(), cost[order].tolist()):
-                if remaining <= 0:
+    def _greedy_fill(self, w: np.ndarray, alpha: float, out: np.ndarray) -> None:
+        # One stable sort ranks every row at once: by row, positive weights
+        # first, then w/cost descending, ties to the lower index.  The ratio
+        # is ranked by its exact exponent and its correctly rounded mantissa
+        # (negated, so ascending), so none overflows or underflows, and
+        # normal-range ratios rank as their float quotients do.
+        idx, cost, neg_mc, origin, end, segments = self._layout
+        wr = w[idx]
+        mw, ew = np.frexp(wr)
+        m, e = np.frexp(mw / neg_mc)
+        ew += e
+        order = np.lexsort((m, np.where(wr > 0, origin - ew, end)))
+        idx, cost, wr = idx[order].tolist(), cost[order].tolist(), wr[order].tolist()
+        for start, stop, remaining in segments:
+            for i, ci, wi in zip(idx[start:stop], cost[start:stop], wr[start:stop]):
+                if remaining <= 0 or wi <= 0:
                     break
                 out[i] = fill = min(alpha, remaining / ci)
                 remaining -= fill * ci
@@ -105,17 +119,6 @@ class Polytope:
 
     def describe(self) -> str:
         return self.kind
-
-
-def _exact_ratio_order(w: np.ndarray, cost: np.ndarray) -> np.ndarray:
-    """Indices of positive w/cost in descending order, ties to the lower
-    index, ranked by the exact exponent and the correctly rounded mantissa
-    of each ratio, so no ratio overflows and normal-range ratios rank as
-    their float quotients do."""
-    mw, ew = np.frexp(w)
-    mc, ec = np.frexp(cost)
-    m, e = np.frexp(mw / mc)
-    return np.lexsort((-m, ec - ew - e))
 
 
 class CardinalityPolytope(Polytope):

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 import submax as sm
 from submax import CapParam, Point
-from submax.polytope import _exact_ratio_order
 
 from helpers import random_constraint
 
@@ -67,31 +66,54 @@ class TestLinearMaximizeExamples:
         with pytest.raises(ValueError):
             sm.CardinalityPolytope(2, 1).linear_maximize(w)
 
-    def test_subnormal_costs_rank_exactly(self):
-        # every w/cost overflows to inf; the best item must still win
-        C = sm.KnapsackPolytope(3, [5e-324] * 3, 5e-324)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            c = C.linear_maximize([0.1, 0.5, 0.3])
-        assert c.v.tolist() == [0.0, 1.0, 0.0]
-
-    def test_huge_weights_rank_as_their_ratios(self):
+    @pytest.mark.parametrize("n, costs, budget, w, best", [
+        # every w/cost overflows to inf
+        (3, [5e-324] * 3, 5e-324, [0.1, 0.5, 0.3], [0.0, 1.0, 0.0]),
+        # both w/cost underflow to 0
+        (2, [1e300] * 2, 1e300, [1e-30, 2e-30], [0.0, 1.0]),
         # ratios 2e308, 3.4e308, 4e308 (overflowing), 1: filled from the top
-        C = sm.KnapsackPolytope(4, [0.5, 0.5, 0.25, 1.0], 1.0)
+        (4, [0.5, 0.5, 0.25, 1.0], 1.0, [1e308, 1.7e308, 1e308, 1.0],
+         [0.5, 1.0, 1.0, 0.0]),
+    ], ids=["overflow", "underflow", "huge-weights"])
+    def test_out_of_range_ratios_rank_exactly(self, n, costs, budget, w, best):
+        C = sm.KnapsackPolytope(n, costs, budget)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            c = C.linear_maximize([1e308, 1.7e308, 1e308, 1.0])
-        assert c.v.tolist() == [0.5, 1.0, 1.0, 0.0]
+            c = C.linear_maximize(w)
+        assert c.v.tolist() == best
 
-    def test_exact_ratio_order_matches_float_ratios(self):
+    def test_fill_matches_float_ratio_greedy(self):
+        # on normal-range ratios the exact ranking is the float quotient's,
+        # ties included, so the fill is the per-row float greedy's, bit for bit
         rng = np.random.default_rng(5)
-        for k in range(1, 40):
-            w = np.exp(rng.normal(0.0, 40.0, k))
+        for k in range(2, 40):
+            w = np.exp(rng.normal(0.0, 40.0, k)) * rng.choice([-1.0, 0.0, 1.0, 1.0], k)
             cost = np.exp(rng.normal(0.0, 40.0, k))
             if k % 2:  # rounded, so that ratios tie
-                w, cost = np.round(w, 1) + 0.5, np.round(cost) + 1.0
-            assert np.array_equal(_exact_ratio_order(w, cost),
-                                  np.argsort(-(w / cost), kind="stable"))
+                w, cost = np.round(w, 1), np.round(cost) + 1.0
+            blocks = np.array_split(rng.permutation(k), int(rng.integers(1, min(4, k) + 1)))
+            for C in (sm.KnapsackPolytope(k, cost, rng.uniform(0.2, 0.8) * cost.sum()),
+                      sm.PartitionMatroidPolytope(k, blocks, [max(1, b.size // 2) for b in blocks])):
+                for alpha in (0.5, 1.0):
+                    got = C.linear_maximize(w, CapParam(alpha)).v
+                    assert got.tobytes() == float_ratio_greedy(C, w, alpha).tobytes()
+
+
+def float_ratio_greedy(C, w, alpha):
+    """The capped fractional-knapsack greedy row by row, ranking by the float
+    quotient w/cost with a stable sort."""
+    out = np.zeros(C.n)
+    for idx, cost, budget in C.rows:
+        pos = w[idx] > 0
+        idx, cost = idx[pos], cost[pos]
+        order = np.argsort(-(w[idx] / cost), kind="stable")
+        remaining = budget
+        for i, ci in zip(idx[order].tolist(), cost[order].tolist()):
+            if remaining <= 0:
+                break
+            out[i] = fill = min(alpha, remaining / ci)
+            remaining -= fill * ci
+    return out
 
 
 def contains(C, S) -> bool:
