@@ -8,32 +8,44 @@ import sys
 import numpy as np
 
 from .cgreedy import RunConfig
-from .errors import SubmaxError
+from .errors import InstanceFormatError, SubmaxError
 from .instances import (CSV_HEADER, InstanceFile, desk_corpus, gen,
                         mini_corpus, run_instance)
 from .setfn import EstimatorConfig
 from .verify import best_bound_theta, compute_bound, property_suite
 
 
-def parse_theta_grid(text: str) -> tuple[float, ...]:
+def parse_theta_grid(text: str, delta: float = RunConfig.delta) -> tuple[float, ...]:
     """Grid syntax: comma-separated 'start:step:end' ranges, bare values,
-    and '+value' additions, e.g. '0:0.02:1,+0.18'."""
+    and '+value' additions, e.g. '0:0.02:1,+0.18'.  Every theta is a distinct
+    multiple of delta in [0, 1], so a range with more than round(1/delta) + 1
+    points is rejected before any point is generated."""
+    # RunConfig checks delta; theta 0 lies on every grid
+    limit = RunConfig(delta=delta, theta_grid=(0.0,)).total_steps + 1
     values: set[float] = set()
     for part in text.split(","):
         part = part.strip().lstrip("+")
         if not part:
             continue
-        if ":" in part:
-            pieces = part.split(":")
-            if len(pieces) != 3:
-                raise SubmaxError(f"bad grid range {part!r}; expected start:step:end")
-            start, step, end = (float(p) for p in pieces)
-            if step <= 0:
-                raise SubmaxError(f"grid step must be positive in {part!r}")
-            count = int(np.floor((end - start) / step + 1e-9)) + 1
-            values.update(float(np.round(start + i * step, 12)) for i in range(count))
-        else:
-            values.add(float(part))
+        try:
+            nums = [float(p) for p in part.split(":")]
+        except ValueError:
+            raise SubmaxError(f"grid entry {part!r} is not a number") from None
+        if len(nums) not in (1, 3) or not np.all(np.isfinite(nums)):
+            raise SubmaxError(f"bad grid entry {part!r}; expected a finite value "
+                              "or start:step:end")
+        if len(nums) == 1:
+            values.add(nums[0])
+            continue
+        start, step, end = nums
+        if step <= 0:
+            raise SubmaxError(f"grid step must be positive in {part!r}")
+        span = (end - start) / step + 1e-9
+        if span >= limit:
+            raise SubmaxError(f"grid range {part!r} has more than the {limit} "
+                              f"points a grid for delta {delta:g} can hold")
+        values.update(float(np.round(start + i * step, 12))
+                      for i in range(int(np.floor(span)) + 1))
     if not values:
         raise SubmaxError(f"empty theta grid {text!r}")
     return tuple(sorted(values))
@@ -60,13 +72,18 @@ def _run_config(args) -> RunConfig:
     if args.mode is not None:
         cfg = EstimatorConfig(mode=args.mode, sample_count=args.samples,
                               rng_seed=args.seed)
-    grid = None if args.theta_grid is None else parse_theta_grid(args.theta_grid)
+    grid = (None if args.theta_grid is None
+            else parse_theta_grid(args.theta_grid, args.delta))
     return RunConfig(alpha=args.alpha, delta=args.delta, theta_grid=grid, cfg=cfg)
 
 
 def _read_instance(path: str) -> InstanceFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return InstanceFile.from_json(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        raise InstanceFormatError(f"{path} is not UTF-8 text: {e}") from e
+    return InstanceFile.from_json(text)
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -205,10 +222,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SubmaxError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
+    except (SubmaxError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -19,9 +19,11 @@ x_i=0).  Because F is multilinear this is exact; no finite-difference fuzz
 is ever involved.  In closed mode each structural family differentiates its
 polynomial analytically: ``closed_form_grad`` gives the whole gradient at one
 point, and ``closed_form_partial(i, X)`` gives the single partial dF/dx_i at
-every row of X in O(deg_i) for a cut and O(n |covers_i|) for coverage, which
-is what the double greedy needs at each coordinate.  The identity stays the
-reference both are tested against (``one_coordinate_gradient``).
+every row of X in O(n) for a cut and O(n |covers_i|) for coverage, which is
+what the double greedy needs at each coordinate.  For a cut with weight matrix
+W these are F(x) = x^T W (1 - x), grad F(x) = W (1 - x) - W^T x and
+dF/dx_i = (1 - x) . W[i, :] - x . W[:, i].  The identity stays the reference
+both are tested against (``one_coordinate_gradient``).
 """
 
 from __future__ import annotations
@@ -305,7 +307,12 @@ def _check_submodular_table(vals: np.ndarray, n: int, tol: float = 1e-9) -> None
 class DirectedCut(SetFunction):
     """Weighted directed cut: f(S) = sum of w(a->b) over arcs with a in S,
     b not in S.  Nonnegative and submodular by construction, and non-monotone
-    whenever the graph has at least one arc."""
+    whenever the graph has at least one arc.
+
+    The closed forms read only the (n, n) weight matrix ``W`` (parallel arcs
+    summed): F(x) = x^T W (1 - x), grad F(x) = W (1 - x) - W^T x, and
+    dF/dx_i = (1 - x) . W[i, :] - x . W[:, i], O(n) per row.  ``value_batch``
+    reads the arc lists, so it stays an independent check on W."""
 
     kind = "directed-cut"
     has_closed_form = True
@@ -325,44 +332,28 @@ class DirectedCut(SetFunction):
             raise ValueError("arc weights must be nonnegative")
         self.src, self.dst, self.w = src, dst, w
 
+    @cached_property
+    def W(self) -> np.ndarray:
+        # built on first closed-form use, so a built instance costs no n^2
+        # memory until it is solved
+        W = np.zeros((self.n, self.n))
+        np.add.at(W, (self.src, self.dst), self.w)
+        return W
+
     def value_batch(self, masks: np.ndarray) -> np.ndarray:
         _check_masks(masks, self.n)
-        if self.w.size == 0:
-            return np.zeros(masks.shape, dtype=float)
         in_src = (masks[:, None] >> self.src[None, :]) & 1
         in_dst = (masks[:, None] >> self.dst[None, :]) & 1
         return (in_src * (1 - in_dst)).astype(float) @ self.w
 
     def closed_form_batch(self, X: np.ndarray) -> np.ndarray:
-        # F(x) = sum_arcs w * x_src * (1 - x_dst); exact by multilinearity
-        if self.w.size == 0:
-            return np.zeros(X.shape[0], dtype=float)
-        return (X[:, self.src] * (1.0 - X[:, self.dst])) @ self.w
+        return np.einsum("ri,ri->r", X @ self.W, 1.0 - X)
 
     def closed_form_grad(self, x: np.ndarray) -> np.ndarray:
-        # dF/dx_i = sum_{i->b} w (1 - x_b) - sum_{a->i} w x_a
-        if self.w.size == 0:
-            return np.zeros(self.n)
-        out_gain = np.bincount(self.src, weights=self.w * (1.0 - x[self.dst]),
-                               minlength=self.n)
-        in_loss = np.bincount(self.dst, weights=self.w * x[self.src],
-                              minlength=self.n)
-        return out_gain - in_loss
+        return self.W @ (1.0 - x) - x @ self.W
 
     def closed_form_partial(self, i, X):
-        # the same sum over the arcs at i only: (heads, weights) of the arcs
-        # out of i, then (tails, weights) of the arcs into i
-        (heads, w_out), (tails, w_in) = self._arcs_at[i]
-        return (1.0 - X[:, heads]) @ w_out - X[:, tails] @ w_in
-
-    @cached_property
-    def _arcs_at(self) -> list:
-        # per element, its out- and in-arcs (CSR order), built on first use
-        def by(keys, ends):
-            order = np.argsort(keys, kind="stable")
-            cuts = np.cumsum(np.bincount(keys, minlength=self.n))[:-1]
-            return zip(np.split(ends[order], cuts), np.split(self.w[order], cuts))
-        return list(zip(by(self.src, self.dst), by(self.dst, self.src)))
+        return (1.0 - X) @ self.W[i] - X @ self.W[:, i]
 
 
 class Coverage(SetFunction):
@@ -436,15 +427,8 @@ def default_config(f: SetFunction) -> EstimatorConfig:
     return EstimatorConfig(mode="closed" if f.has_closed_form else "exact")
 
 
-def _check_mode(f: SetFunction, cfg: EstimatorConfig) -> None:
-    if cfg.mode == "closed" and not f.has_closed_form:
-        raise EstimatorError(
-            f"closed-form evaluation is not available for kind {f.kind!r}")
-
-
 def multilinear_batch(f: SetFunction, X: np.ndarray, cfg: EstimatorConfig) -> np.ndarray:
     """Evaluate F at every row of X. Exact and closed modes only."""
-    _check_mode(f, cfg)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if cfg.mode == "closed":
         return f.closed_form_batch(X)

@@ -127,7 +127,7 @@ def _lp_single_row(w: np.ndarray, cost: np.ndarray, budget: float,
         for T in combinations(range(n), r):
             T = list(T)
             used = alpha * cost[T].sum()
-            if used > budget + 1e-12:
+            if used > budget * (1.0 + 1e-12):
                 continue
             base = alpha * w[T].sum()
             best = max(best, base)

@@ -23,6 +23,8 @@ def brute_force_extension(f, x):
 
 
 def random_cut(rng, n, p=0.4):
+    if n == 1:
+        return sm.DirectedCut(1, [])  # no arc fits on one element
     while True:
         keep = rng.random((n, n)) < p
         np.fill_diagonal(keep, False)

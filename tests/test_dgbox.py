@@ -43,9 +43,8 @@ def assert_rel_close(got, ref, rtol):
 
 
 def structural_functions(rng, n):
-    fs = [random_coverage(rng, n), sm.DirectedCut(n, []),
-          sm.Coverage(n, [[] for _ in range(n)], [])]
-    return fs + [random_cut(rng, n)] if n >= 2 else fs
+    return [random_coverage(rng, n), sm.DirectedCut(n, []),
+            sm.Coverage(n, [[] for _ in range(n)], []), random_cut(rng, n)]
 
 
 @pytest.fixture

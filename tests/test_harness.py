@@ -1,6 +1,7 @@
 """Instance documents, seeded generation, result records, and the CLI."""
 
 import json
+import time
 from functools import reduce
 from operator import getitem
 
@@ -175,6 +176,14 @@ class TestThetaGridParsing:
         with pytest.raises(sm.SubmaxError):
             parse_theta_grid("0:-0.1:1")
 
+    def test_range_refused_past_the_points_a_grid_can_hold(self):
+        # thetas are distinct multiples of delta in [0, 1]: at most
+        # round(1/delta) + 1 of them, checked before any point is generated
+        assert len(parse_theta_grid("0:0.005:1")) == 201
+        assert parse_theta_grid("0:0.25:1", delta=0.25) == (0.0, 0.25, 0.5, 0.75, 1.0)
+        with pytest.raises(sm.SubmaxError, match="more than the 5 points"):
+            parse_theta_grid("0:0.2:1", delta=0.25)
+
 
 class TestCli:
     def test_gen_solve_flow(self, tmp_path, capsys):
@@ -284,6 +293,31 @@ class TestCli:
         assert main(["solve", str(inst_path), "--delta", "0.25",
                      "--theta-grid", "0.1"]) == 2
         assert "multiple" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["abc", "nan:0.1:1", "0:0.1:inf", "0:1e-300:1"])
+    def test_bad_theta_grid_exits_2_promptly(self, tmp_path, capsys, grid):
+        p = tmp_path / "inst.json"
+        p.write_text(sm.gen("directed-cut", 4, "cardinality", 1).to_json())
+        start = time.perf_counter()
+        assert main(["solve", str(p), "--no-opt", "--theta-grid", grid]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_directory_as_instance_exits_2(self, tmp_path, capsys):
+        assert main(["solve", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_undecodable_instance_is_a_format_error(self, tmp_path, capsys):
+        p = tmp_path / "utf16.json"
+        p.write_bytes(b"\xff\xfe")
+        assert main(["solve", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not UTF-8 text" in err
+
+    def test_gen_out_to_a_directory_exits_2(self, tmp_path, capsys):
+        assert main(["gen", "--kind", "coverage", "--n", "4", "--constraint",
+                     "cardinality", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_verify_instance_exit_zero(self, tmp_path, capsys):
         inst_path = tmp_path / "inst.json"

@@ -37,6 +37,12 @@ class TestLinearMaximizeExamples:
         assert np.dot(w, c.v) == pytest.approx(2.5)
         assert np.dot(w, c.v) == pytest.approx(sm.lp_brute_force(C, w, 0.5))
 
+    def test_lp_brute_force_slack_scales_with_the_budget(self):
+        # with subnormal costs an absolute slack would let every pattern fit
+        C = sm.KnapsackPolytope(3, [5e-324] * 3, 5e-324)
+        w = [0.1, 0.5, 0.3]
+        assert sm.lp_brute_force(C, w, 1.0) == 0.5 == np.dot(w, C.linear_maximize(w).v)
+
     def test_budget_exhaustion_leftover(self):
         # k=1, cap 0.7: best coordinate gets 0.7, next gets the 0.3 leftover
         C = sm.CardinalityPolytope(3, 1)

@@ -1,5 +1,7 @@
 """Set functions, points, and the multilinear extension estimators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -211,6 +213,36 @@ class TestClosedFormGradient:
         f = sm.Coverage(3, [[0, 1], [0, 1, 2], []], [1.0, 2.0, 4.0])
         g = f.closed_form_grad(np.array([0.5, 1.0, 0.3]))
         assert g.tolist() == [0.0, 0.5 * 3.0 + 4.0, 0.0]
+
+
+class TestCutWeightMatrix:
+    """A cut's closed forms read only its (n, n) weight matrix W."""
+
+    def test_parallel_arcs_are_summed(self):
+        split = sm.DirectedCut(3, [[0, 1, 0.5], [0, 1, 0.25], [1, 2, 1.0]])
+        merged = sm.DirectedCut(3, [[0, 1, 0.75], [1, 2, 1.0]])
+        X = np.random.default_rng(3).random((5, 3))
+        assert np.array_equal(split.closed_form_batch(X), merged.closed_form_batch(X))
+        assert np.array_equal(split.closed_form_grad(X[0]), merged.closed_form_grad(X[0]))
+        for i in range(3):
+            assert np.array_equal(split.closed_form_partial(i, X),
+                                  merged.closed_form_partial(i, X))
+        masks = np.arange(8)
+        vertices = ((masks[:, None] >> np.arange(3)) & 1).astype(float)
+        assert np.array_equal(split.closed_form_batch(vertices), split.value_batch(masks))
+
+    def test_batch_memory_does_not_grow_with_the_arcs(self):
+        # 256 rows of a generated n = 600 cut (about 160k arcs): one (rows, n)
+        # product, not a (rows, arcs) gather
+        f, _ = sm.gen("directed-cut", 600, "cardinality", 0).build()
+        X = (np.random.default_rng(0).random((256, 600)) < 0.5).astype(float)
+        tracemalloc.start()
+        try:
+            f.closed_form_batch(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20
 
 
 class TestMaxSingleton:
