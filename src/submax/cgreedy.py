@@ -66,6 +66,8 @@ class RunConfig:
             raise ConfigError(f"alpha must lie in [1/2, 1], got {self.alpha}")
         if not (0.0 < self.delta <= 1.0):
             raise ConfigError(f"delta must lie in (0, 1], got {self.delta}")
+        if not np.isfinite(1.0 / self.delta):
+            raise ConfigError(f"delta {self.delta} is too small: 1/delta overflows")
         total = round(1.0 / self.delta)
         if total < 1 or abs(total * self.delta - 1.0) > 1e-9:
             raise ConfigError(f"delta must divide the unit interval, got {self.delta}")

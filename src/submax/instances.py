@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,17 @@ CSV_HEADER = "instance,n,constraint,alpha,delta,theta_best,best_value,opt_value,
 
 def canonical_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@contextmanager
+def _payload_errors(part: str, kind: str):
+    """Report a constructor's complaint about a payload as InstanceFormatError."""
+    try:
+        yield
+    except KeyError as e:
+        raise InstanceFormatError(f"{part} payload missing field {e.args[0]!r}") from e
+    except (TypeError, ValueError, IndexError, InvalidSubsetError) as e:
+        raise InstanceFormatError(f"invalid {kind} {part} payload: {e}") from e
 
 
 @dataclass
@@ -97,32 +109,22 @@ class InstanceFile:
     def build_function(self) -> SetFunction:
         desc = self.function
         kind = desc["kind"]
-        try:
+        with _payload_errors("function", kind):
             if kind == "directed-cut":
                 return DirectedCut(self.n, desc["arcs"])
             if kind == "coverage":
                 return Coverage(self.n, desc["covers"], desc["item_weights"])
             return ExplicitTable(self.n, desc["values"])
-        except KeyError as e:
-            raise InstanceFormatError(
-                f"function payload missing field {e.args[0]!r}") from e
-        except (TypeError, ValueError, IndexError, InvalidSubsetError) as e:
-            raise InstanceFormatError(f"invalid {kind} function payload: {e}") from e
 
     def build_constraint(self) -> Polytope:
         desc = self.constraint
         kind = desc["kind"]
-        try:
+        with _payload_errors("constraint", kind):
             if kind == "cardinality":
                 return CardinalityPolytope(self.n, desc["k"])
             if kind == "partition-matroid":
                 return PartitionMatroidPolytope(self.n, desc["blocks"], desc["budgets"])
             return KnapsackPolytope(self.n, desc["costs"], desc["budget"])
-        except KeyError as e:
-            raise InstanceFormatError(
-                f"constraint payload missing field {e.args[0]!r}") from e
-        except (TypeError, ValueError, IndexError, InvalidSubsetError) as e:
-            raise InstanceFormatError(f"invalid {kind} constraint payload: {e}") from e
 
     def build(self) -> tuple[SetFunction, Polytope]:
         return self.build_function(), self.build_constraint()

@@ -11,17 +11,20 @@ Three evaluation modes are supported:
              against (1 - x_i, x_i): O(2^n) per point (n <= 25),
   closed  -- the analytically identical polynomial available for the
              structural families (directed cut, weighted coverage),
-  mc      -- Monte Carlo sampling of R(x), reproducible from a seed.
+  mc      -- Monte Carlo sampling of R(x), reproducible from a seed, one
+             draw per call shared by every row.
 
-In exact and mc modes, and for explicit tables, partial derivatives go
-through the one-coordinate identity dF/dx_i = F(x with x_i=1) - F(x with
-x_i=0).  Because F is multilinear this is exact; no finite-difference fuzz
-is ever involved.  In closed mode each structural family differentiates its
-polynomial analytically: ``closed_form_grad`` gives the whole gradient at one
-point, and ``closed_form_partial(i, X)`` gives the single partial dF/dx_i at
-every row of X in O(n) for a cut and O(n |covers_i|) for coverage, which is
-what the double greedy needs at each coordinate.  For a cut with weight matrix
-W these are F(x) = x^T W (1 - x), grad F(x) = W (1 - x) - W^T x and
+``multilinear_batch`` evaluates F in every mode; ``multilinear`` is its
+one-row case.  In exact and mc modes, and for explicit tables, partial
+derivatives go through the one-coordinate identity, 2n rows of one batch:
+dF/dx_i = F(x with x_i=1) - F(x with x_i=0).  Because F is multilinear this is
+exact; no finite-difference fuzz is ever involved.  In closed mode each
+structural family differentiates its polynomial analytically:
+``closed_form_grad`` gives the whole gradient at one point, and
+``closed_form_partial(i, X)`` gives the single partial dF/dx_i at every row
+of X in O(n) for a cut and O(n |covers_i|) for coverage, which is what the
+double greedy needs at each coordinate.  For a cut with weight matrix W
+these are F(x) = x^T W (1 - x), grad F(x) = W (1 - x) - W^T x and
 dF/dx_i = (1 - x) . W[i, :] - x . W[:, i].  The identity stays the reference
 both are tested against (``one_coordinate_gradient``).
 """
@@ -41,6 +44,7 @@ COORD_TOL = 1e-12
 EXACT_ENUM_LIMIT = 25   # 2^n subset weights; the desk-scale ceiling
 SUBMOD_CHECK_LIMIT = 12  # exhaustive submodularity check on explicit tables
 SUBMOD_SAMPLES = 1 << 16  # seeded (S, i, j) samples checked above that size
+MC_DRAW_LIMIT = 1 << 27  # float64 uniforms in one mc draw: 1 GiB
 
 SubsetLike = Union[int, Iterable[int]]
 
@@ -385,8 +389,6 @@ class Coverage(SetFunction):
     def closed_form_batch(self, X: np.ndarray) -> np.ndarray:
         # F(x) = sum_j w_j * (1 - prod_{i covers j} (1 - x_i))
         m = self.item_weights.size
-        if m == 0:
-            return np.zeros(X.shape[0], dtype=float)
         out = np.empty(X.shape[0], dtype=float)
         rows = max(1, (1 << 21) // max(1, self.n * m))
         for lo in range(0, X.shape[0], rows):
@@ -428,35 +430,47 @@ def default_config(f: SetFunction) -> EstimatorConfig:
 
 
 def multilinear_batch(f: SetFunction, X: np.ndarray, cfg: EstimatorConfig) -> np.ndarray:
-    """Evaluate F at every row of X. Exact and closed modes only."""
+    """Evaluate F at every row of X in any mode: the family's polynomial
+    (closed), the contracted value table (exact), or the mean of f over
+    sampled sets (mc).  The mc rows of one call share one draw."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if cfg.mode == "closed":
         return f.closed_form_batch(X)
-    if cfg.mode == "exact":
-        # contract the table one element (bit) at a time, lowest bit first.
-        # The first step is a matmul: as a broadcast over the few rows of a
-        # gradient it runs 1.5x slower at n = 12.  Per chunk, the first
-        # product and the next step's temporaries peak at 2^24 entries.
-        table = f.full_table()
-        out = np.empty(X.shape[0])
-        chunk = max(1, (1 << 24) >> f.n)
-        for lo in range(0, X.shape[0], chunk):
-            x = X[lo:lo + chunk].T
-            V = table.reshape(-1, 2) @ np.stack([1.0 - x[0], x[0]])
-            for xi in x[1:]:
-                V = V.reshape(-1, 2, xi.size)
-                V = V[:, 0] * (1.0 - xi) + V[:, 1] * xi
-            out[lo:lo + chunk] = V[0]
-        return out
-    raise EstimatorError("batch evaluation supports exact and closed modes only")
+    if cfg.mode == "mc":
+        U = _uniforms(f.n, cfg)
+        return np.array([_vertex_values(f, U < x).mean() for x in X])
+    # exact: contract the table one element (bit) at a time, lowest bit
+    # first.  The first step is a matmul: as a broadcast over the few rows of
+    # a gradient it runs 1.5x slower at n = 12.  Per chunk, the first product
+    # and the next step's temporaries peak at 2^24 entries.
+    table = f.full_table()
+    out = np.empty(X.shape[0])
+    chunk = max(1, (1 << 24) >> f.n)
+    for lo in range(0, X.shape[0], chunk):
+        x = X[lo:lo + chunk].T
+        V = table.reshape(-1, 2) @ np.stack([1.0 - x[0], x[0]])
+        for xi in x[1:]:
+            V = V.reshape(-1, 2, xi.size)
+            V = V[:, 0] * (1.0 - xi) + V[:, 1] * xi
+        out[lo:lo + chunk] = V[0]
+    return out
+
+
+def _uniforms(n: int, cfg: EstimatorConfig) -> np.ndarray:
+    """The (sample_count, n) uniforms U of one mc call; row x reads the sets
+    R(x) = U < x.  All rows share U (common random numbers), which preserves
+    the antitone structure of gradient estimates far better than independent
+    draws: as 0 <= U < 1, the rows x_i = 1 and x_i = 0 of a one-coordinate
+    gradient read the sets R(x) with i forced in and out."""
+    if int(cfg.sample_count) * n > MC_DRAW_LIMIT:
+        raise EstimatorError(f"mc draw of {cfg.sample_count} x {n} uniforms "
+                             f"exceeds {MC_DRAW_LIMIT}")
+    return cfg.rng().random((cfg.sample_count, n))
 
 
 def _mc_values(f: SetFunction, x: np.ndarray, cfg: EstimatorConfig) -> np.ndarray:
     """Per-sample values f(R(x)) for cfg.sample_count independent draws."""
-    rng = cfg.rng()
-    U = rng.random((cfg.sample_count, f.n))
-    R = U < x[None, :]
-    return _vertex_values(f, R)
+    return _vertex_values(f, _uniforms(f.n, cfg) < x[None, :])
 
 
 def _vertex_values(f: SetFunction, R: np.ndarray) -> np.ndarray:
@@ -470,17 +484,14 @@ def multilinear(f: SetFunction, x, cfg: EstimatorConfig | None = None) -> float:
     """The extension value F(x) under the configured estimator."""
     if cfg is None:
         cfg = default_config(f)
-    xv = as_array(x)
-    if cfg.mode == "mc":
-        return float(_mc_values(f, xv, cfg).mean())
-    return float(multilinear_batch(f, xv[None, :], cfg)[0])
+    return float(multilinear_batch(f, as_array(x)[None, :], cfg)[0])
 
 
 def one_coordinate_gradient(f: SetFunction, x, cfg: EstimatorConfig) -> np.ndarray:
     """dF/dx_i = F(x with x_i=1) - F(x with x_i=0) for every coordinate, from
-    2n extension rows in the batch modes (exact, closed).  ``gradient`` takes
-    this path in exact mode; in closed mode it is the reference the analytic
-    gradients are checked against."""
+    2n extension rows in one batch.  This is the gradient in exact and mc
+    modes; in closed mode it is the reference the analytic gradients are
+    checked against."""
     xv = as_array(x)
     n = f.n
     X = np.repeat(xv[None, :], 2 * n, axis=0)
@@ -491,33 +502,14 @@ def one_coordinate_gradient(f: SetFunction, x, cfg: EstimatorConfig) -> np.ndarr
 
 
 def gradient(f: SetFunction, x, cfg: EstimatorConfig | None = None) -> np.ndarray:
-    """The gradient of F at x.
-
-    Closed mode differentiates the family's polynomial analytically; exact
-    and mc modes use the one-coordinate identity.  Monte Carlo mode shares
-    one batch of uniforms across all 2n endpoint evaluations (common random
-    numbers), which preserves the antitone structure of the estimates far
-    better than independent draws.
-    """
+    """The gradient of F at x: closed mode differentiates the family's
+    polynomial analytically; exact and mc modes use the one-coordinate
+    identity."""
     if cfg is None:
         cfg = default_config(f)
-    xv = as_array(x)
-    n = f.n
     if cfg.mode == "closed":
-        return f.closed_form_grad(xv)
-    if cfg.mode == "mc":
-        rng = cfg.rng()
-        U = rng.random((cfg.sample_count, n))
-        R = U < xv[None, :]
-        g = np.empty(n)
-        for i in range(n):
-            hi = R.copy()
-            hi[:, i] = True
-            lo = R.copy()
-            lo[:, i] = False
-            g[i] = _vertex_values(f, hi).mean() - _vertex_values(f, lo).mean()
-        return g
-    return one_coordinate_gradient(f, xv, cfg)
+        return f.closed_form_grad(as_array(x))
+    return one_coordinate_gradient(f, x, cfg)
 
 
 def residual_gradient(f: SetFunction, x, cfg: EstimatorConfig | None = None) -> np.ndarray:

@@ -180,8 +180,12 @@ class TestDgBranch:
 
 
 class TestSolve:
-    def test_zero_function(self):
-        f = sm.ExplicitTable(2, np.zeros(4))
+    @pytest.mark.parametrize("f", [
+        sm.ExplicitTable(2, np.zeros(4)),
+        sm.DirectedCut(2, []),
+        sm.Coverage(2, [[], []], []),
+    ], ids=["table", "cut", "coverage"])
+    def test_zero_function(self, f):
         C = sm.CardinalityPolytope(2, 1)
         run = RunConfig(delta=0.25, theta_grid=(0.0, 0.5, 1.0))
         report = sm.solve(f, C, run)

@@ -2,6 +2,7 @@
 
 import json
 import time
+import tracemalloc
 from functools import reduce
 from operator import getitem
 
@@ -302,6 +303,28 @@ class TestCli:
         assert main(["solve", str(p), "--no-opt", "--theta-grid", grid]) == 2
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("delta", ["1e-320", "5e-324"])
+    def test_subnormal_delta_exits_2(self, tmp_path, capsys, delta):
+        p = tmp_path / "inst.json"
+        p.write_text(sm.gen("directed-cut", 4, "cardinality", 1).to_json())
+        assert main(["solve", str(p), "--no-opt", "--delta", delta]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "delta" in err
+
+    def test_absurd_sample_count_exits_2_without_allocating(self, tmp_path, capsys):
+        p = tmp_path / "inst.json"
+        p.write_text(sm.gen("directed-cut", 4, "cardinality", 1).to_json())
+        tracemalloc.start()
+        try:
+            assert main(["solve", str(p), "--no-opt", "--mode", "mc",
+                         "--samples", "1000000000000000"]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "mc draw" in err
 
     def test_directory_as_instance_exits_2(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path)]) == 2

@@ -331,6 +331,37 @@ class TestMonteCarlo:
         with pytest.raises(EstimatorError):
             EstimatorConfig(mode="mc", sample_count=0)
 
+    @pytest.mark.parametrize("n", [1, 5, 9])
+    @pytest.mark.parametrize("make", [random_cut, random_coverage,
+                                      random_table_function])
+    def test_gradient_is_the_common_random_numbers_loop(self, make, n):
+        # the per-coordinate loop the mc gradient once ran: one draw R = U < x,
+        # then element i forced in (hi) and out (lo) of every sampled set
+        rng = np.random.default_rng(100 * n + 3)
+        f = make(rng, n)
+        cfg = EstimatorConfig(mode="mc", sample_count=500, rng_seed=n)
+        for x in (rng.random(n), np.zeros(n), np.ones(n)):
+            R = cfg.rng().random((cfg.sample_count, n)) < x[None, :]
+            want = np.empty(n)
+            for i in range(n):
+                hi = R.copy()
+                hi[:, i] = True
+                lo = R.copy()
+                lo[:, i] = False
+                want[i] = (sm.setfn._vertex_values(f, hi).mean()
+                           - sm.setfn._vertex_values(f, lo).mean())
+            assert np.array_equal(sm.gradient(f, x, cfg), want)
+
+    def test_batch_rows_share_one_draw(self):
+        rng = np.random.default_rng(11)
+        f = random_coverage(rng, 5)
+        x, y = rng.random(5), rng.random(5)
+        cfg = EstimatorConfig(mode="mc", sample_count=3000, rng_seed=5)
+        vals = sm.multilinear_batch(f, np.stack([x, x, y]), cfg)
+        assert vals[0] == vals[1] == sm.setfn._mc_values(f, x, cfg).mean()
+        assert vals[2] == sm.setfn._mc_values(f, y, cfg).mean()
+        assert sm.multilinear(f, x, cfg) == vals[0]
+
 
 class TestPoint:
     def test_tolerance_and_clipping(self):
