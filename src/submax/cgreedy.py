@@ -17,13 +17,19 @@ The cap slows the growth of ||x||_inf, so the discrete envelopes
 
 hold at every step by construction; they are asserted during the run, as is
 membership of every iterate in the constraint body, and a violation raises
-``InvariantError``.
+``InvariantError`` naming the row's theta, step, coordinate and margin.
 
-Every x(theta) lies on the same capped trajectory, so ``solve`` walks stage
-one once and branches at each grid theta, computing one gradient per
-distinct point.  ``dampened_stage``, ``standard_stage`` and ``dg_branch``
-expose the pieces one at a time, with per-step trajectories, over the same
-step routine.
+``solve`` is one pass over the time axis.  Every x(theta) lies on the same
+capped trajectory, and every stage two runs on the same time grid, so at
+global step j the stage-one iterate (up to the largest theta's step) and the
+stage-two iterate of every theta that switched before j are the rows of one
+(R, n) batch.  Each step takes one batched gradient (one per distinct
+point), one batched oracle call with a cap per row (alpha for stage one, 1
+for stage two), and one Euler step that checks every row.  The gradient and
+the oracle answer each row as they answer it alone, bit for bit, so the
+sweep equals the per-theta composition of ``dampened_stage`` and
+``standard_stage`` (the same step routine on one row, recording per-step
+trajectories) and ``dg_branch``.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from .setfn import (EstimatorConfig, Point, SetFunction, default_config,
 
 ENV_TOL = 1e-12
 THETA_TOL = 1e-12
+STEP_LIMIT = 10_000  # Euler steps per run, so delta >= 1e-4
 
 
 def default_theta_grid() -> tuple[float, ...]:
@@ -51,9 +58,9 @@ def default_theta_grid() -> tuple[float, ...]:
 class RunConfig:
     """Parameters of one solver run.
 
-    ``delta`` must divide 1 so the time grid ends exactly at 1, and every
-    theta must be a step-count multiple of delta; both are validated here
-    rather than discovered as drift mid-run.
+    ``delta`` must divide 1 so the time grid ends exactly at 1, in at most
+    ``STEP_LIMIT`` steps, and every theta must be a step-count multiple of
+    delta; all are validated here rather than discovered mid-run.
     """
 
     alpha: float = 0.5
@@ -66,8 +73,9 @@ class RunConfig:
             raise ConfigError(f"alpha must lie in [1/2, 1], got {self.alpha}")
         if not (0.0 < self.delta <= 1.0):
             raise ConfigError(f"delta must lie in (0, 1], got {self.delta}")
-        if not np.isfinite(1.0 / self.delta):
-            raise ConfigError(f"delta {self.delta} is too small: 1/delta overflows")
+        if not 1.0 / self.delta < STEP_LIMIT + 0.5:
+            raise ConfigError(f"delta {self.delta:g} is too small: a run takes at "
+                              f"most {STEP_LIMIT} steps (delta >= {1 / STEP_LIMIT:g})")
         total = round(1.0 / self.delta)
         if total < 1 or abs(total * self.delta - 1.0) > 1e-9:
             raise ConfigError(f"delta must divide the unit interval, got {self.delta}")
@@ -128,93 +136,71 @@ def _stage_one_label(run: RunConfig) -> int:
     return run.total_steps + 1
 
 
+def _gradients(f: SetFunction, cfg: EstimatorConfig, X: np.ndarray,
+               labels: list[int], j: int) -> np.ndarray:
+    """The residual gradient at every row of X.  In mc mode row r draws from
+    its own sub-stream (labels[r], j), so no row depends on the batch."""
+    if cfg.mode != "mc":
+        return residual_gradient(f, X, cfg)
+    return np.array([residual_gradient(f, x, cfg.substream(label, j))
+                     for x, label in zip(X, labels)])
+
+
+def _step(C: Polytope, run: RunConfig, X: np.ndarray, V: np.ndarray,
+          env: np.ndarray, thetas: list[float], j: int):
+    """Euler step j -> j+1 of every row, X + delta * V o (1-X).
+
+    Asserts each row's l-inf envelope 1 - x >= env[r] and membership of
+    every new iterate in C, reporting a violation against thetas[r]; returns
+    the new iterates and each row's envelope margin.
+    """
+    X = X + run.delta * V * (1.0 - X)
+    slack = (1.0 - X) - env[:, None]
+    margin = slack.min(axis=1)
+    if margin.min() < -ENV_TOL:
+        r = int(np.argmax(margin < -ENV_TOL))
+        raise InvariantError("l-inf envelope violated", thetas[r], j + 1,
+                             int(np.argmin(slack[r])), float(margin[r]))
+    inside = C.contains_point(X)
+    if not np.all(inside):
+        r = int(np.argmin(inside))
+        raise InvariantError("iterate left the constraint body", thetas[r], j + 1,
+                             int(np.argmin(slack[r])), float(margin[r]))
+    return X, margin
+
+
 def _direction(f: SetFunction, C: Polytope, cfg: EstimatorConfig,
                x: np.ndarray, cap: CapParam, label: int, j: int):
-    """The residual gradient at x (in mc mode drawn from sub-stream
-    (label, j)) and the oracle direction it selects under ``cap``."""
-    cfg_j = cfg.substream(label, j) if cfg.mode == "mc" else cfg
-    g = residual_gradient(f, x, cfg_j)
+    """The residual gradient at the one point x and the oracle direction it
+    selects under ``cap``."""
+    g = _gradients(f, cfg, x[None], [label], j)[0]
     return g, C.linear_maximize(g, cap)
 
 
-def _step(C: Polytope, run: RunConfig, x: np.ndarray, v: Point, env: float,
-          theta: float, j: int):
-    """Euler step j -> j+1, x + delta * v o (1-x).
-
-    Asserts the l-inf envelope 1 - x >= env and membership of the new
-    iterate in C; returns the new iterate and its envelope margin.
-    """
-    x = x + run.delta * v.v * (1.0 - x)
-    slack = (1.0 - x) - env
-    i = int(np.argmin(slack))
-    margin = float(slack[i])
-    if margin < -ENV_TOL:
-        raise InvariantError("l-inf envelope violated", theta, j + 1, i, margin)
-    if not C.contains_point(x):
-        raise InvariantError("iterate left the constraint body", theta, j + 1,
-                             i, margin)
-    return x, margin
-
-
-def _stage_one(f: SetFunction, C: Polytope, run: RunConfig,
-               cfg: EstimatorConfig, thetas):
-    """Walk the capped stage once, from 0 to the step of thetas[-1].
-
-    Yields (j, x, g, v, margin) at every step j: the iterate x(j*delta), its
-    residual gradient g, the capped oracle direction v there, and the worst
-    envelope slack over steps 1..j.  A broken invariant is reported against
-    the first of the ascending ``thetas`` whose stage one takes that step.
-    """
-    cap = CapParam(run.alpha)
-    factor = 1.0 - run.delta * run.alpha
-    last = run.steps_of(thetas[-1])
-    targets = iter(thetas)
-    theta = next(targets)
-    x, env, margin = np.zeros(f.n), 1.0, np.inf
-    for j in range(last + 1):
-        g, v = _direction(f, C, cfg, x, cap, _stage_one_label(run), j)
-        yield j, x, g, v, margin
-        if j == last:
-            return
-        while run.steps_of(theta) <= j:
-            theta = next(targets)
+def _stage(f: SetFunction, C: Polytope, run: RunConfig, theta: float,
+           x: np.ndarray, first: int, last: int, cap: CapParam, env: float,
+           factor: float, label: int):
+    """Steps first..last-1 of one greedy stage on the one row x: the R = 1
+    case of the sweep.  The envelope shrinks by ``factor`` per step; step
+    j's gradient draws (in mc mode) from sub-stream (label, j), the first
+    from stage one's.  Returns the final point and the trajectory."""
+    cfg = run.resolve_cfg(f)
+    traj = Trajectory()
+    for j in range(first, last):
+        g, v = _direction(f, C, cfg, x, cap,
+                          _stage_one_label(run) if j == first else label, j)
+        traj.add(j * run.delta, x, g, v)
         env *= factor
-        x, step_margin = _step(C, run, x, v, env, theta, j)
-        margin = min(margin, step_margin)
+        X, margin = _step(C, run, x[None], v.v[None], np.array([env]), [theta], j)
+        x = X[0]
+        traj.min_envelope_margin = min(traj.min_envelope_margin, float(margin[0]))
+    return x, traj
 
 
-def _stage_two(f: SetFunction, C: Polytope, run: RunConfig,
-               cfg: EstimatorConfig, x: np.ndarray, theta: float,
-               g: np.ndarray | None, v: Point | None):
-    """Walk the uncapped stage from x = x(theta) to time 1.
-
-    (g, v) are the residual gradient and the uncapped oracle direction at
-    x(theta), which the first step reuses; every later point gets a fresh
-    gradient.  Yields (j, x, g, v, margin) before each step j, then
-    (total_steps, y(1), None, None, margin), where margin is the worst
-    envelope slack so far.
-    """
-    k = run.steps_of(theta)
-    cap = CapParam(1.0)
-    env = (1.0 - run.delta * run.alpha) ** k
-    margin = np.inf
-    for j in range(k, run.total_steps):
-        if j > k:
-            g, v = _direction(f, C, cfg, x, cap, k, j)
-        yield j, x, g, v, margin
-        env *= 1.0 - run.delta
-        x, step_margin = _step(C, run, x, v, env, theta, j)
-        margin = min(margin, step_margin)
-    yield run.total_steps, x, None, None, margin
-
-
-def _fallback(f: SetFunction, C: Polytope, cfg: EstimatorConfig,
-              g: np.ndarray):
-    """The fallback pair (p, z) from the residual gradient g at x(theta)."""
-    p = C.linear_maximize(g, CapParam(1.0))
+def _fallback(f: SetFunction, cfg: EstimatorConfig, p: Point) -> Point:
+    """The double greedy solution z over the box [0, p]."""
     box_cfg = cfg if cfg.mode != "mc" else default_config(f)
-    z = double_greedy_box(BoxInstance(f, Point.zeros(f.n), p, box_cfg))
-    return p, z
+    return double_greedy_box(BoxInstance(f, Point.zeros(f.n), p, box_cfg))
 
 
 def dampened_stage(f: SetFunction, C: Polytope, run: RunConfig, theta: float):
@@ -224,12 +210,10 @@ def dampened_stage(f: SetFunction, C: Polytope, run: RunConfig, theta: float):
     direction computed at the final point; the fallback branch bound needs it
     even though it is never applied as an update.
     """
-    k = run.steps_of(theta)
-    traj = Trajectory()
-    for j, x, g, v, margin in _stage_one(f, C, run, run.resolve_cfg(f), (theta,)):
-        if j < k:
-            traj.add(j * run.delta, x, g, v)
-    traj.min_envelope_margin = margin
+    k, cap, label = run.steps_of(theta), CapParam(run.alpha), _stage_one_label(run)
+    x, traj = _stage(f, C, run, theta, np.zeros(f.n), 0, k, cap, 1.0,
+                     1.0 - run.delta * run.alpha, label)
+    _, v = _direction(f, C, run.resolve_cfg(f), x, cap, label, k)
     return Point(x), v, traj
 
 
@@ -237,16 +221,8 @@ def standard_stage(f: SetFunction, C: Polytope, run: RunConfig,
                    start: Point, theta: float):
     """Continue uncapped from x(theta) until time 1; returns (y1, trajectory)."""
     k = run.steps_of(theta)
-    cfg = run.resolve_cfg(f)
-    g = v = None
-    if k < run.total_steps:
-        g, v = _direction(f, C, cfg, start.v, CapParam(1.0),
-                          _stage_one_label(run), k)
-    traj = Trajectory()
-    for j, y, g_j, v_j, margin in _stage_two(f, C, run, cfg, start.v, theta, g, v):
-        if v_j is not None:
-            traj.add(j * run.delta, y, g_j, v_j)
-    traj.min_envelope_margin = margin
+    y, traj = _stage(f, C, run, theta, start.v, k, run.total_steps, CapParam(1.0),
+                     (1.0 - run.delta * run.alpha) ** k, 1.0 - run.delta, k)
     return Point(y), traj
 
 
@@ -258,7 +234,8 @@ def dg_branch(f: SetFunction, C: Polytope, x_theta: Point,
     down-closedness."""
     if cfg is None:
         cfg = default_config(f)
-    return _fallback(f, C, cfg, residual_gradient(f, x_theta, cfg))
+    p = C.linear_maximize(residual_gradient(f, x_theta, cfg), CapParam(1.0))
+    return p, _fallback(f, cfg, p)
 
 
 @dataclass
@@ -337,37 +314,16 @@ def bound_diagnostics(run: RunConfig, results: list[ThetaResult],
     return out
 
 
-def _theta_result(f: SetFunction, C: Polytope, run: RunConfig,
-                  cfg: EstimatorConfig, theta: float, x: np.ndarray,
-                  g: np.ndarray, v_theta: Point, dampened_margin: float
-                  ) -> ThetaResult:
-    """Both branches at x(theta), from stage one's gradient g there and the
-    capped direction v_theta it selected."""
-    x_theta = Point(x)
-    p, z = _fallback(f, C, cfg, g)
-    for _, y, _, _, standard_margin in _stage_two(f, C, run, cfg, x_theta.v,
-                                                  theta, g, p):
-        pass
-    y1 = Point(y)
-    k = run.steps_of(theta)
-    return ThetaResult(
-        theta=theta, x_theta=x_theta, x_value=multilinear(f, x_theta, cfg),
-        y1=y1, y1_value=multilinear(f, y1, cfg),
-        p=p, z=z, z_value=multilinear(f, z, cfg),
-        final_inner=float(g @ v_theta.v),
-        dampened_steps=k, standard_steps=run.total_steps - k,
-        dampened_margin=dampened_margin, standard_margin=standard_margin)
-
-
 def solve(f: SetFunction, C: Polytope, run: RunConfig | None = None,
           opt_value: float | None = None) -> SolveReport:
-    """Sweep the theta grid, run both branches, and keep the best candidate.
+    """Sweep the theta grid in one pass over the time axis, run both
+    branches, and keep the best candidate.
 
-    Every x(theta) lies on one capped trajectory, so stage one is walked
-    once, up to the largest theta, with one gradient per step.  At each grid
-    theta that gradient also gives v_theta, the fallback direction p, and
-    stage two's first direction; stage two then takes a fresh gradient only
-    at each new point.
+    At global step j the batch holds stage one's iterate x(j*delta), while
+    j is at most the largest theta's step, and the stage-two iterate of
+    every theta whose step k_theta is below j.  At j = k_theta stage one's
+    gradient also gives v_theta, the fallback direction p and stage two's
+    first direction, so every distinct point gets one gradient row.
 
     When the true integral optimum is supplied (desk-scale instances), the
     per-theta lower-bound diagnostics are evaluated and attached; they are
@@ -376,13 +332,73 @@ def solve(f: SetFunction, C: Polytope, run: RunConfig | None = None,
     if run is None:
         run = RunConfig()
     cfg = run.resolve_cfg(f)
-    per_theta: list[ThetaResult] = []
-    thetas = iter(run.theta_grid)
-    theta = next(thetas, None)
-    for j, x, g, v, margin in _stage_one(f, C, run, cfg, run.theta_grid):
-        while theta is not None and run.steps_of(theta) == j:
-            per_theta.append(_theta_result(f, C, run, cfg, theta, x, g, v, margin))
-            theta = next(thetas, None)
+    T, grid = run.total_steps, run.theta_grid
+    steps = [run.steps_of(t) for t in grid]
+    K = steps[-1]
+    capped, uncapped = CapParam(run.alpha), CapParam(1.0)
+    factor = 1.0 - run.delta * run.alpha
+    # the batch: stage one's iterate in row 0 up to step K, then the
+    # stage-two iterate of every theta switched so far, in grid order; per
+    # row its envelope, the envelope's factor per step, its worst margin so
+    # far, the theta a violation is reported against, and its mc label
+    Z = np.zeros((1, f.n))
+    env, shrink, margin = np.ones(1), np.full(1, factor), np.full(1, np.inf)
+    thetas, labels = [grid[0]], [_stage_one_label(run)]
+    branch = []  # per theta: x_theta, g and v_theta there, p, z, stage-one margin
+    nxt = 0      # the first theta not switched yet
+    for j in range(T + 1):
+        if j == T and K < T:
+            break
+        # at step T only stage one's last point, when theta 1 is on the grid
+        G = _gradients(f, cfg, Z if j < T else Z[:1], labels, j)
+        first = nxt
+        while nxt < len(grid) and steps[nxt] == j:
+            nxt += 1
+        if nxt == first:
+            lead = int(j <= K)  # row 0 is stage one's
+            D = C.linear_maximize(G, [capped] * lead + [uncapped] * (len(G) - lead))
+        else:
+            # thetas switch at x(j): stage one's gradient there also gives
+            # the uncapped p, their fallback and stage two's first direction
+            D = C.linear_maximize(np.concatenate([G[:1], G]),
+                                  [capped] + [uncapped] * len(G))
+            v, p = Point.trusted(D[0].copy()), Point.trusted(D[1].copy())
+            D = np.concatenate([D[:1], D[2:]])
+            z = _fallback(f, cfg, p)
+            for _ in range(first, nxt):
+                branch.append((Point(Z[0]), G[0], v, p, z, float(margin[0])))
+            if j < T:
+                new = nxt - first
+                Z = np.concatenate([Z, np.repeat(Z[:1], new, axis=0)])
+                D = np.concatenate([D, np.repeat(p.v[None], new, axis=0)])
+                env = np.concatenate([env, np.full(new, factor ** j)])
+                shrink = np.concatenate([shrink, np.full(new, 1.0 - run.delta)])
+                margin = np.concatenate([margin, np.full(new, np.inf)])
+                thetas += grid[first:nxt]
+                labels += [j] * new
+        if j == T:
+            break
+        if j == K:  # stage one ends at the last theta
+            Z, D, env, shrink, margin = Z[1:], D[1:], env[1:], shrink[1:], margin[1:]
+            thetas, labels = thetas[1:], labels[1:]
+        elif j < K:  # report stage one's step against the next theta
+            thetas[0] = grid[nxt]
+        env = env * shrink
+        Z, M = _step(C, run, Z, D, env, thetas, j)
+        margin = np.minimum(margin, M)
+    per_theta = []
+    two = sum(k < T for k in steps)
+    rows = iter(zip(Z[len(Z) - two:], margin[len(Z) - two:]))
+    for theta, k, (x_theta, g, v, p, z, dampened_margin) in zip(grid, steps, branch):
+        y, standard_margin = next(rows) if k < T else (x_theta.v, np.inf)
+        y1 = Point(y)
+        per_theta.append(ThetaResult(
+            theta=theta, x_theta=x_theta, x_value=multilinear(f, x_theta, cfg),
+            y1=y1, y1_value=multilinear(f, y1, cfg),
+            p=p, z=z, z_value=multilinear(f, z, cfg),
+            final_inner=float(g @ v.v),
+            dampened_steps=k, standard_steps=T - k,
+            dampened_margin=dampened_margin, standard_margin=float(standard_margin)))
     best = Point.zeros(f.n)
     best_value = multilinear(f, best, cfg)
     best_theta: float | None = None

@@ -7,7 +7,10 @@ matroid one unit-cost row per block, a knapsack one row with its own costs.
 One oracle serves all three: ``linear_maximize`` solves  max <w, c>  over
 c in C, ||c||_inf <= alpha  exactly, by a fractional-knapsack greedy per row.
 ``contains_point`` tests membership of a fractional point; each body's
-``contains_mask_batch`` tests integer sets for the brute-force oracle.
+``contains_mask_batch`` tests integer sets for the brute-force oracle.  The
+oracle and the membership test also take an (R, n) batch of rows, the
+oracle with one cap per row, and answer each row as a one-row call does:
+the greedy walks all rows at once, as running sums in its own order.
 
 Tie-breaking in every greedy sort is lowest index first, and nonpositive
 weights are zeroed before assigning mass: by down-closedness a coordinate
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -29,6 +33,11 @@ FEAS_TOL = 1e-9
 # exponent lies within +-2100 of the span's middle, and the key of a
 # nonpositive weight is the span's last.
 _ROW_SPAN = 1 << 13
+# Up to this many segments (one packing row of one batch row each) the
+# greedy walks its entries in Python; past it, running sums over all the
+# segments at once cost less.  A two-theta sweep keeps two or three batch
+# rows, a 51-theta sweep up to 52.
+_WALK_SEGMENTS = 8
 
 
 @dataclass(frozen=True)
@@ -56,66 +65,133 @@ class Polytope:
     def n(self) -> int:
         return self.ground.n
 
-    def linear_maximize(self, w, cap: CapParam = CapParam(1.0)) -> Point:
-        """argmax { <w, c> : c in C, ||c||_inf <= cap.alpha }, exactly."""
+    def linear_maximize(self, w, cap: CapParam | Sequence[CapParam] = CapParam(1.0)):
+        """argmax { <w, c> : c in C, ||c||_inf <= cap.alpha }, exactly.
+
+        ``w`` is one weight vector, answered with a Point, or an (R, n)
+        batch, answered with an (R, n) array whose row r maximizes row r of
+        w under ``cap``, or under ``cap[r]`` when a sequence of one cap per
+        row is given.  Each row's answer does not depend on the others.
+        """
         wv = as_array(w)
-        if wv.size != self.n:
-            raise ValueError(f"weight vector has {wv.size} coordinates, expected {self.n}")
-        if not np.abs(wv).max() < np.inf:
+        W = np.atleast_2d(wv)
+        if wv.ndim > 2 or W.shape[1] != self.n:
+            raise ValueError(f"weight vector has {W.shape[-1]} coordinates, expected {self.n}")
+        if not np.abs(W).max() < np.inf:
             raise ValueError("weights must be finite")
-        c = np.zeros(self.n)
-        self._greedy_fill(wv, float(cap.alpha), c)
-        return Point.trusted(c)
+        caps = [cap] * len(W) if isinstance(cap, CapParam) else list(cap)
+        if len(caps) != len(W):
+            raise ValueError(f"{len(caps)} caps for {len(W)} weight rows")
+        c = self._greedy_fill(W, np.array([cp.alpha for cp in caps]))
+        return Point.trusted(c[0]) if wv.ndim == 1 else c
 
     @cached_property
     def _layout(self):
         # the rows laid end to end: indices, costs, each cost's negated
         # mantissa, each entry's sort-key origin and the key of a nonpositive
-        # weight (its row's end), and each row's (start, stop, budget)
+        # weight (its row's end), each row's (start, stop, budget), and each
+        # row's places padded to a common length: slots[s, t] is the place t
+        # of row s, or L, a dummy place, past the row's end (always once)
         idx, cost, budgets = zip(*self.rows)
         sizes = [i.size for i in idx]
-        stops = np.cumsum(sizes).tolist()
+        stops = np.cumsum(sizes)
+        starts = stops - sizes
         mc, ec = np.frexp(np.concatenate(cost))
         row = np.repeat(np.arange(len(sizes), dtype=np.int64) * _ROW_SPAN, sizes)
+        t = np.arange(max(sizes) + 1)
+        slots = np.where(t < np.array(sizes)[:, None], starts[:, None] + t, stops[-1])
         return (np.concatenate(idx), np.concatenate(cost), -mc,
                 row + _ROW_SPAN // 2 + ec, row + (_ROW_SPAN - 1),
-                list(zip([0] + stops[:-1], stops, budgets)))
+                list(zip(starts.tolist(), stops.tolist(), budgets)), slots)
 
-    def _greedy_fill(self, w: np.ndarray, alpha: float, out: np.ndarray) -> None:
-        # One stable sort ranks every row at once: by row, positive weights
-        # first, then w/cost descending, ties to the lower index.  The ratio
-        # is ranked by its exact exponent and its correctly rounded mantissa
-        # (negated, so ascending), so none overflows or underflows, and
-        # normal-range ratios rank as their float quotients do.
-        idx, cost, neg_mc, origin, end, segments = self._layout
-        wr = w[idx]
+    def _greedy_fill(self, W: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+        # The capped fractional-knapsack greedy on every packing row of every
+        # batch row r: walk the entries by w/cost descending, filling
+        # min(alpha_r, remaining/cost) until the budget or the positive
+        # weights run out.  One stable sort per batch row ranks every packing
+        # row at once: by row, positive weights first, then w/cost
+        # descending, ties to the lower index.  The ratio is ranked by its
+        # exact exponent and its correctly rounded mantissa (negated, so
+        # ascending), so none overflows or underflows, and normal-range
+        # ratios rank as their float quotients do.
+        idx, cost, neg_mc, origin, end, segments, slots = self._layout
+        R, S = W.shape[0], len(segments)
+        batch = np.arange(R)[:, None]
+        wr = W[:, idx]
         mw, ew = np.frexp(wr)
         m, e = np.frexp(mw / neg_mc)
-        ew += e
-        order = np.lexsort((m, np.where(wr > 0, origin - ew, end)))
-        idx, cost, wr = idx[order].tolist(), cost[order].tolist(), wr[order].tolist()
-        for start, stop, remaining in segments:
-            for i, ci, wi in zip(idx[start:stop], cost[start:stop], wr[start:stop]):
-                if remaining <= 0 or wi <= 0:
-                    break
-                out[i] = fill = min(alpha, remaining / ci)
-                remaining -= fill * ci
+        order = np.lexsort((m, np.where(wr > 0, origin - ew - e, end)), axis=1)
+        w, c, d = wr[batch, order], cost[order], idx[order]
+        out = np.zeros((R, self.n + 1))
+        if R * S <= _WALK_SEGMENTS:
+            # the greedy itself, one entry at a time
+            for r, (ws, cs, ds) in enumerate(zip(w.tolist(), c.tolist(), d.tolist())):
+                row, a = out[r], float(alpha[r])
+                for start, stop, remaining in segments:
+                    for wi, ci, i in zip(ws[start:stop], cs[start:stop], ds[start:stop]):
+                        if remaining <= 0 or wi <= 0:
+                            break
+                        row[i] = fill = min(a, remaining / ci)
+                        remaining -= fill * ci
+            return out[:, :-1]
+        # every packing row q = (r, s) of every batch row as one padded row
+        # of places; the dummy place has weight 0, cost 1 and column n
+        w, c, d = (np.concatenate([v, np.full((R, 1), pad)], axis=1)[:, slots]
+                   .reshape(R * S, -1) for v, pad in ((w, 0.0), (c, 1.0), (d, self.n)))
+        a = alpha.repeat(S)[:, None]
+        with np.errstate(over="ignore"):
+            # the remaining budget before each place while every fill is
+            # alpha: the running sum adds in the greedy's own order, and
+            # r + (-s) is r - s exactly, so each value is the greedy's
+            rem = np.empty((R * S, c.shape[1] + 1))
+            rem.reshape(R, S, -1)[:, :, 0] = [budget for _, _, budget in segments]
+            np.multiply(-a, c, out=rem[:, 1:])
+            np.add.accumulate(rem, axis=1, out=rem)
+            full = np.logical_and.accumulate((w > 0) & (rem[:, :-1] / c >= a), axis=1)
+        fills = full * a
+        # then the partial fills one place at a time, on the few packing rows
+        # whose budget is not used up: the first fill is below alpha, and a
+        # positive leftover from its rounding carries on to the next place
+        t = np.argmin(full, axis=1)
+        q = np.arange(t.size)
+        left = rem[q, t]
+        q = q[(left > 0) & (w[q, t] > 0)]
+        while q.size:
+            tq, cq = t[q], c[q, t[q]]
+            fill = np.minimum(a[q, 0], left[q] / cq)
+            fills[q, tq] = fill
+            left[q] -= fill * cq
+            t[q] += 1
+            q = q[(left[q] > 0) & (w[q, t[q]] > 0)]
+        out[batch, d.reshape(R, -1)] = fills.reshape(R, -1)
+        return out[:, :-1]
 
     def contains_mask_batch(self, masks: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def contains_point(self, x) -> bool:
-        """Whether x satisfies every defining inequality within tolerance."""
+    def contains_point(self, x):
+        """Whether x satisfies every defining inequality within tolerance;
+        for an (R, n) batch, an (R,) array of the answers row by row."""
         xv = as_array(x)
-        if xv.size != self.n:
-            raise ValueError(f"point has {xv.size} coordinates, expected {self.n}")
-        if xv.min() < -FEAS_TOL or xv.max() > 1.0 + FEAS_TOL:
-            return False
-        return self._satisfies(xv)
+        X = np.atleast_2d(xv)
+        if xv.ndim > 2 or X.shape[1] != self.n:
+            raise ValueError(f"point has {X.shape[-1]} coordinates, expected {self.n}")
+        inside = ((X.min(axis=1) >= -FEAS_TOL) & (X.max(axis=1) <= 1.0 + FEAS_TOL)
+                  & self._satisfies(X))
+        return inside if xv.ndim == 2 else bool(inside[0])
 
-    def _satisfies(self, x: np.ndarray) -> bool:
-        return all(x[idx] @ cost <= budget + FEAS_TOL
-                   for idx, cost, budget in self.rows)
+    @cached_property
+    def _packing(self):
+        # the rows as one (n, rows) cost matrix, and each row's budget plus
+        # the tolerance
+        A = np.zeros((self.n, len(self.rows)))
+        for b, (idx, cost, _) in enumerate(self.rows):
+            A[idx, b] = cost
+        return A, np.array([budget for _, _, budget in self.rows]) + FEAS_TOL
+
+    def _satisfies(self, X: np.ndarray) -> np.ndarray:
+        A, limit = self._packing
+        return (X @ A <= limit).all(axis=1)
 
     def describe(self) -> str:
         return self.kind

@@ -20,7 +20,8 @@ derivatives go through the one-coordinate identity, 2n rows of one batch:
 dF/dx_i = F(x with x_i=1) - F(x with x_i=0).  Because F is multilinear this is
 exact; no finite-difference fuzz is ever involved.  In closed mode each
 structural family differentiates its polynomial analytically:
-``closed_form_grad`` gives the whole gradient at one point, and
+``closed_form_grad`` gives the whole gradient at one point or at every row
+of an (R, n) batch, each row as the one point gives it, and
 ``closed_form_partial(i, X)`` gives the single partial dF/dx_i at every row
 of X in O(n) for a cut and O(n |covers_i|) for coverage, which is what the
 double greedy needs at each coordinate.  For a cut with weight matrix W
@@ -45,6 +46,7 @@ EXACT_ENUM_LIMIT = 25   # 2^n subset weights; the desk-scale ceiling
 SUBMOD_CHECK_LIMIT = 12  # exhaustive submodularity check on explicit tables
 SUBMOD_SAMPLES = 1 << 16  # seeded (S, i, j) samples checked above that size
 MC_DRAW_LIMIT = 1 << 27  # float64 uniforms in one mc draw: 1 GiB
+_GRAD_BLOCK = 1 << 14    # (rows x n x m) entries per coverage gradient chunk
 
 SubsetLike = Union[int, Iterable[int]]
 
@@ -196,7 +198,8 @@ class SetFunction:
         raise EstimatorError(f"{self.kind} has no closed-form extension")
 
     def closed_form_grad(self, x: np.ndarray) -> np.ndarray:
-        """The (n,) gradient of the closed-form extension at x."""
+        """The gradient of the closed-form extension at x: (n,) at one
+        point, (R, n) at each row of an (R, n) batch."""
         raise EstimatorError(f"{self.kind} has no closed-form extension")
 
     def closed_form_partial(self, i: int, X: np.ndarray) -> np.ndarray:
@@ -354,7 +357,10 @@ class DirectedCut(SetFunction):
         return np.einsum("ri,ri->r", X @ self.W, 1.0 - X)
 
     def closed_form_grad(self, x: np.ndarray) -> np.ndarray:
-        return self.W @ (1.0 - x) - x @ self.W
+        # one stacked vector-matrix product per row, so each row's rounding
+        # does not depend on the batch, as a 2-d matrix product's may
+        X = np.atleast_2d(x)[:, None, :]
+        return ((1.0 - X) @ self.W.T - X @ self.W).reshape(np.shape(x))
 
     def closed_form_partial(self, i, X):
         return (1.0 - X) @ self.W[i] - X @ self.W[:, i]
@@ -402,12 +408,20 @@ class Coverage(SetFunction):
         # dF/dx_i = sum_{j covered by i} w_j prod_{k covers j, k != i} (1 - x_k).
         # The leave-one-out products come from exclusive prefix and suffix
         # products down the elements, not from dividing the full product, so
-        # they stay exact when some x_k = 1.
-        miss = np.where(self.incidence, 1.0 - x[:, None], 1.0)
-        loo = np.ones_like(miss)
-        np.cumprod(miss[:-1], axis=0, out=loo[1:])
-        loo[:-1] *= np.cumprod(miss[:0:-1], axis=0)[::-1]
-        return (loo * self.incidence) @ self.item_weights
+        # they stay exact when some x_k = 1.  Rows go in chunks of
+        # (rows, n, m) blocks that stay cache-sized.
+        X = np.atleast_2d(x)
+        G = np.empty(X.shape)
+        rows = max(1, _GRAD_BLOCK // max(1, self.incidence.size))
+        for lo in range(0, len(X), rows):
+            miss = np.where(self.incidence, 1.0 - X[lo:lo + rows, :, None], 1.0)
+            loo = np.empty_like(miss)
+            loo[:, 0] = 1.0
+            np.cumprod(miss[:, :-1], axis=1, out=loo[:, 1:])
+            loo[:, :-1] *= np.cumprod(miss[:, :0:-1], axis=1)[:, ::-1]
+            loo *= self.incidence
+            G[lo:lo + rows] = loo @ self.item_weights
+        return G.reshape(np.shape(x))
 
     def closed_form_partial(self, i, X):
         # the same sum over i's items only, each survival product taken down
@@ -488,23 +502,25 @@ def multilinear(f: SetFunction, x, cfg: EstimatorConfig | None = None) -> float:
 
 
 def one_coordinate_gradient(f: SetFunction, x, cfg: EstimatorConfig) -> np.ndarray:
-    """dF/dx_i = F(x with x_i=1) - F(x with x_i=0) for every coordinate, from
-    2n extension rows in one batch.  This is the gradient in exact and mc
-    modes; in closed mode it is the reference the analytic gradients are
-    checked against."""
+    """dF/dx_i = F(x with x_i=1) - F(x with x_i=0) for every coordinate of
+    one point, or of each row of an (R, n) batch, from 2n extension rows per
+    point in one batch.  This is the gradient in exact and mc modes; in
+    closed mode it is the reference the analytic gradients are checked
+    against."""
     xv = as_array(x)
     n = f.n
-    X = np.repeat(xv[None, :], 2 * n, axis=0)
-    X[np.arange(n), np.arange(n)] = 1.0
-    X[n + np.arange(n), np.arange(n)] = 0.0
-    vals = multilinear_batch(f, X, cfg)
-    return vals[:n] - vals[n:]
+    X = np.repeat(np.atleast_2d(xv)[:, None, :], 2 * n, axis=1)
+    X[:, np.arange(n), np.arange(n)] = 1.0
+    X[:, n + np.arange(n), np.arange(n)] = 0.0
+    vals = multilinear_batch(f, X.reshape(-1, n), cfg).reshape(-1, 2 * n)
+    return (vals[:, :n] - vals[:, n:]).reshape(xv.shape)
 
 
 def gradient(f: SetFunction, x, cfg: EstimatorConfig | None = None) -> np.ndarray:
-    """The gradient of F at x: closed mode differentiates the family's
-    polynomial analytically; exact and mc modes use the one-coordinate
-    identity."""
+    """The gradient of F at x, or at each row of an (R, n) batch; every row
+    is the one-point gradient, bit for bit.  Closed mode differentiates the
+    family's polynomial analytically; exact and mc modes use the
+    one-coordinate identity (in mc mode every row reads one draw)."""
     if cfg is None:
         cfg = default_config(f)
     if cfg.mode == "closed":
@@ -514,7 +530,7 @@ def gradient(f: SetFunction, x, cfg: EstimatorConfig | None = None) -> np.ndarra
 
 def residual_gradient(f: SetFunction, x, cfg: EstimatorConfig | None = None) -> np.ndarray:
     """gradient(f, x) * (1 - x), the effective gain direction under the
-    multiplicative update."""
+    multiplicative update, at one point or each row of a batch."""
     xv = as_array(x)
     return gradient(f, xv, cfg) * (1.0 - xv)
 

@@ -47,6 +47,14 @@ class TestRunConfig:
             RunConfig(delta=0.3, theta_grid=(0.0,))
         RunConfig(delta=0.25, theta_grid=(0.0, 0.25, 1.0))
 
+    @pytest.mark.parametrize("delta", [1e-300, 1e-5])
+    def test_step_count_is_bounded(self, delta):
+        with pytest.raises(ConfigError, match="at most 10000 steps"):
+            RunConfig(delta=delta, theta_grid=(0.0,))
+
+    def test_step_limit_is_reachable(self):
+        assert RunConfig(delta=1e-4, theta_grid=(0.0,)).total_steps == 10_000
+
     def test_theta_must_be_step_multiple(self):
         with pytest.raises(ConfigError):
             RunConfig(delta=0.25, theta_grid=(0.1,))
@@ -341,27 +349,28 @@ class TestSinglePassSweep:
         assert (report.best_value, report.best_theta, report.best_branch) \
             == (best_value, best_theta, best_branch)
 
-    @pytest.mark.parametrize("run,calls", [
+    @pytest.mark.parametrize("run,rows", [
         (RunConfig(), 5251),
         (RunConfig(delta=0.05, theta_grid=(0.0, 0.25, 0.5)), 53),
     ], ids=["default", "grid-ends-before-one"])
-    def test_one_gradient_per_distinct_point(self, monkeypatch, run, calls):
+    def test_one_gradient_per_distinct_point(self, monkeypatch, run, rows):
         f, C = sm.gen("coverage", 12, "knapsack", 5).build()
         points = []
         inner = setfn.gradient
 
         def counted(f, x, cfg=None):
-            points.append(np.asarray(x).tobytes())
+            points.extend(row.tobytes() for row in np.atleast_2d(x))
             return inner(f, x, cfg)
 
         monkeypatch.setattr(setfn, "gradient", counted)
         sm.solve(f, C, run)
         T = run.total_steps
         steps = [run.steps_of(t) for t in run.theta_grid]
-        # (K+1) stage-one points, then T-k-1 new points per theta
-        assert (steps[-1] + 1) + sum(max(T - k - 1, 0) for k in steps) == calls
-        assert len(points) == calls
-        assert len(set(points)) == calls
+        # (K+1) stage-one points, then T-k-1 new points per theta, each one
+        # gradient row of the step's batch
+        assert (steps[-1] + 1) + sum(max(T - k - 1, 0) for k in steps) == rows
+        assert len(points) == rows
+        assert len(set(points)) == rows
 
     def test_mc_stage_one_is_shared_across_thetas(self, monkeypatch):
         rng = np.random.default_rng(12)
@@ -427,6 +436,32 @@ class _EmptyBody(sm.CardinalityPolytope):
         return False
 
 
+class _ExcludesOnePoint(sm.CardinalityPolytope):
+    """A cardinality body with one point taken out: every batch row equal to
+    ``point`` is reported outside."""
+
+    def __init__(self, n, k, point):
+        super().__init__(n, k)
+        self.point = point
+
+    def _satisfies(self, X):
+        return super()._satisfies(X) & ~np.all(X == self.point, axis=1)
+
+
+def _stage_two_point(f, C, run, theta, step):
+    """theta's stage-two iterate after ``step`` global steps, its worst
+    envelope coordinate and margin there, from the one-row reference."""
+    x_theta, _, _ = sm.dampened_stage(f, C, run, theta)
+    _, traj = sm.standard_stage(f, C, run, x_theta, theta)
+    k = run.steps_of(theta)
+    y = traj.points[step - k].v
+    env = (1.0 - run.delta * run.alpha) ** k
+    for _ in range(step - k):  # the envelope as the run multiplies it down
+        env *= 1.0 - run.delta
+    slack = (1.0 - y) - env
+    return y, int(np.argmin(slack)), float(slack.min())
+
+
 class TestInvariantError:
     def test_envelope_violation_names_theta_step_and_coordinate(self):
         f = sm.DirectedCut(2, [(0, 1, 1.0)])
@@ -447,6 +482,38 @@ class TestInvariantError:
         err = info.value
         assert (err.theta, err.step, err.coordinate) == (0.3, 1, 0)
         assert err.margin == pytest.approx(0.0, abs=1e-12)
+
+    def test_lockstep_row_violation_names_its_theta(self):
+        # at step 7 the batch holds the stage-two rows of thetas 0 and 0.5;
+        # only theta 0.5's iterate is taken out of the body
+        rng = np.random.default_rng(71)
+        f = random_cut(rng, 6)
+        C = sm.CardinalityPolytope(6, 2)
+        run = RunConfig(delta=0.1, theta_grid=(0.0, 0.5))
+        y, i, margin = _stage_two_point(f, C, run, 0.5, 7)
+        assert not np.array_equal(y, _stage_two_point(f, C, run, 0.0, 7)[0])
+        with pytest.raises(InvariantError, match="constraint body") as info:
+            sm.solve(f, _ExcludesOnePoint(6, 2, y), run)
+        err = info.value
+        assert (err.theta, err.step, err.coordinate, err.margin) == (0.5, 7, i, margin)
+        assert f"theta 0.5, step 7, coordinate {i}" in str(err)
+
+    def test_cli_reports_a_lockstep_row_and_exits_2(self, tmp_path, capsys,
+                                                    monkeypatch):
+        inst = tmp_path / "inst.json"
+        assert main(["gen", "--kind", "directed-cut", "--n", "5",
+                     "--constraint", "cardinality", "--out", str(inst)]) == 0
+        f, C = sm.parse_instance(inst.read_text()).build()
+        run = RunConfig(delta=0.25, theta_grid=(0.0, 0.5))
+        y, i, _ = _stage_two_point(f, C, run, 0.5, 3)
+        satisfies = sm.CardinalityPolytope._satisfies
+        monkeypatch.setattr(sm.CardinalityPolytope, "_satisfies", lambda self, X:
+                            satisfies(self, X) & ~np.all(X == y, axis=1))
+        assert main(["solve", str(inst), "--delta", "0.25",
+                     "--theta-grid", "0,0.5", "--no-opt"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: iterate left the constraint body")
+        assert f"theta 0.5, step 3, coordinate {i}" in err
 
     @pytest.mark.parametrize("attr,stub", [
         ("linear_maximize", _UncappedOracle.linear_maximize),

@@ -312,6 +312,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "delta" in err
 
+    def test_too_many_steps_exits_2_promptly(self, tmp_path, capsys):
+        p = tmp_path / "inst.json"
+        p.write_text(sm.gen("directed-cut", 4, "cardinality", 1).to_json())
+        start = time.perf_counter()
+        assert main(["solve", str(p), "--no-opt", "--delta", "1e-300",
+                     "--theta-grid", "0"]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "10000" in err
+
     def test_absurd_sample_count_exits_2_without_allocating(self, tmp_path, capsys):
         p = tmp_path / "inst.json"
         p.write_text(sm.gen("directed-cut", 4, "cardinality", 1).to_json())

@@ -105,6 +105,74 @@ class TestLinearMaximizeExamples:
                     assert got.tobytes() == float_ratio_greedy(C, w, alpha).tobytes()
 
 
+class TestBatchOracle:
+    """An (R, n) batch of weights is answered row by row, each row exactly
+    as the one-row call answers it."""
+
+    @pytest.mark.parametrize("R", [1, 2, 7, 51])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    @pytest.mark.parametrize("body", ["cardinality", "partition", "knapsack"])
+    def test_rows_match_one_row(self, body, alpha, R):
+        rng = np.random.default_rng(900 + R)
+        n = 11
+        costs = 0.5 + rng.random(n)
+        C = {"cardinality": sm.CardinalityPolytope(n, 3),
+             "partition": sm.PartitionMatroidPolytope(
+                 n, [[0, 4, 8], [1, 2, 3, 5, 6], [7, 9, 10]], [1, 2, 1.5]),
+             "knapsack": sm.KnapsackPolytope(n, costs, 0.4 * costs.sum())}[body]
+        W = rng.normal(size=(R, n))
+        W[::2] = np.round(W[::2], 1)  # some rows with tied weights
+        got = C.linear_maximize(W, CapParam(alpha))
+        assert got.shape == (R, n)
+        for w, row in zip(W, got):
+            assert row.tobytes() == C.linear_maximize(w, CapParam(alpha)).v.tobytes()
+
+    def test_cap_per_row(self):
+        C = sm.CardinalityPolytope(3, 1)
+        W = np.array([[5.0, 4.0, 3.0]] * 3)
+        got = C.linear_maximize(W, [CapParam(0.25), CapParam(1.0), CapParam(0.5)])
+        assert got.tolist() == [[0.25, 0.25, 0.25], [1.0, 0.0, 0.0], [0.5, 0.5, 0.0]]
+        with pytest.raises(ValueError, match="caps"):
+            C.linear_maximize(W, [CapParam(0.5)] * 2)
+
+    @pytest.mark.parametrize("n, costs, budget, w, best", [
+        (3, [5e-324] * 3, 5e-324, [0.1, 0.5, 0.3], [0.0, 1.0, 0.0]),
+        (2, [1e300] * 2, 1e300, [1e-30, 2e-30], [0.0, 1.0]),
+        (4, [0.5, 0.5, 0.25, 1.0], 1.0, [1e308, 1.7e308, 1e308, 1.0],
+         [0.5, 1.0, 1.0, 0.0]),
+    ], ids=["overflow", "underflow", "huge-weights"])
+    def test_out_of_range_ratios_rank_exactly_stacked(self, n, costs, budget, w, best):
+        # the cases of test_out_of_range_ratios_rank_exactly between rows of
+        # nonpositive weights, which take nothing; twelve rows, past the
+        # batch size the greedy walks row by row
+        C = sm.KnapsackPolytope(n, costs, budget)
+        W = np.stack([-np.array(w), w, np.zeros(n), w] * 3)
+        assert len(W) > sm.polytope._WALK_SEGMENTS
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = C.linear_maximize(W)
+        assert got.tolist() == [[0.0] * n, best, [0.0] * n, best] * 3
+
+    def test_fill_matches_float_ratio_greedy_stacked(self):
+        # the inputs of test_fill_matches_float_ratio_greedy, nine weight
+        # rows per body and size in one batch (past the batch size the
+        # greedy walks row by row), caps alternating per row
+        rng = np.random.default_rng(5)
+        for k in range(2, 40):
+            W = np.exp(rng.normal(0.0, 40.0, (9, k))) \
+                * rng.choice([-1.0, 0.0, 1.0, 1.0], (9, k))
+            cost = np.exp(rng.normal(0.0, 40.0, k))
+            if k % 2:  # rounded, so that ratios tie
+                W, cost = np.round(W, 1), np.round(cost) + 1.0
+            blocks = np.array_split(rng.permutation(k), int(rng.integers(1, min(4, k) + 1)))
+            alphas = [0.5, 1.0] * 4 + [0.5]
+            for C in (sm.KnapsackPolytope(k, cost, rng.uniform(0.2, 0.8) * cost.sum()),
+                      sm.PartitionMatroidPolytope(k, blocks, [max(1, b.size // 2) for b in blocks])):
+                got = C.linear_maximize(W, [CapParam(a) for a in alphas])
+                for w, alpha, row in zip(W, alphas, got):
+                    assert row.tobytes() == float_ratio_greedy(C, w, alpha).tobytes()
+
+
 def float_ratio_greedy(C, w, alpha):
     """The capped fractional-knapsack greedy row by row, ranking by the float
     quotient w/cost with a stable sort."""
@@ -164,6 +232,15 @@ class TestContains:
     def test_point_outside_unit_box(self):
         C = sm.CardinalityPolytope(2, 2)
         assert not C.contains_point([1.5, 0.0])
+
+    def test_batch_is_answered_row_by_row(self):
+        C = sm.PartitionMatroidPolytope(4, [[0, 1], [2, 3]], [1, 2])
+        X = np.array([[0.5, 0.5, 1.0, 1.0], [0.6, 0.6, 0.0, 0.0],
+                      [0.0, 0.0, 1.2, 0.0], [np.nan, 0.0, 0.0, 0.0],
+                      [0.0, -1e-3, 0.0, 0.0]])
+        got = C.contains_point(X)
+        assert got.tolist() == [True, False, False, False, False]
+        assert got.tolist() == [C.contains_point(x) for x in X]
 
 
 class TestConstruction:

@@ -215,6 +215,32 @@ class TestClosedFormGradient:
         assert g.tolist() == [0.0, 0.5 * 3.0 + 4.0, 0.0]
 
 
+class TestBatchGradient:
+    """A gradient over an (R, n) batch answers each row as the one-point
+    gradient does, byte for byte, whatever the batch around it."""
+
+    @pytest.mark.parametrize("R", [1, 2, 7, 51])
+    @pytest.mark.parametrize("kind", ["cut", "coverage", "table"])
+    def test_rows_match_one_point(self, kind, R):
+        rng = np.random.default_rng(600 + R)
+        if kind == "cut":
+            f, cfg = random_cut(rng, 12), CLOSED
+        elif kind == "coverage":
+            # a chunk of 9 rows, so 51 rows cross five chunk boundaries
+            f, cfg = random_coverage(rng, 30), CLOSED
+            assert 1 < sm.setfn._GRAD_BLOCK // f.incidence.size < 51
+        else:
+            f, cfg = random_table_function(rng, 8), EXACT
+        X = rng.random((R, f.n))
+        X[rng.random(X.shape) < 0.15] = 0.0
+        X[rng.random(X.shape) < 0.15] = 1.0
+        G = sm.gradient(f, X, cfg)
+        assert G.shape == (R, f.n)
+        for x, g in zip(X, G):
+            assert g.tobytes() == sm.gradient(f, x, cfg).tobytes()
+        assert np.array_equal(sm.residual_gradient(f, X, cfg), G * (1.0 - X))
+
+
 class TestCutWeightMatrix:
     """A cut's closed forms read only its (n, n) weight matrix W."""
 
