@@ -354,23 +354,21 @@ def solve(f: SetFunction, C: Polytope, run: RunConfig | None = None,
         first = nxt
         while nxt < len(grid) and steps[nxt] == j:
             nxt += 1
-        if nxt == first:
-            lead = int(j <= K)  # row 0 is stage one's
-            D = C.linear_maximize(G, [capped] * lead + [uncapped] * (len(G) - lead))
-        else:
-            # thetas switch at x(j): stage one's gradient there also gives
-            # the uncapped p, their fallback and stage two's first direction
-            D = C.linear_maximize(np.concatenate([G[:1], G]),
-                                  [capped] + [uncapped] * len(G))
-            v, p = Point.trusted(D[0].copy()), Point.trusted(D[1].copy())
-            D = np.concatenate([D[:1], D[2:]])
+        new, R = nxt - first, len(G)
+        if new:
+            # thetas switch at x(j): stage one's gradient there also gives,
+            # uncapped, p, their fallback and stage two's first direction,
+            # so each switching theta takes a copy of row 0 with cap 1
+            G = np.concatenate([G, np.repeat(G[:1], new, axis=0)])
+        lead = int(j <= K)  # row 0 is stage one's
+        D = C.linear_maximize(G, [capped] * lead + [uncapped] * (len(G) - lead))
+        if new:
+            v, p = Point.trusted(D[0].copy()), Point.trusted(D[R].copy())
             z = _fallback(f, cfg, p)
             for _ in range(first, nxt):
                 branch.append((Point(Z[0]), G[0], v, p, z, float(margin[0])))
-            if j < T:
-                new = nxt - first
+            if j < T:  # their stage-two rows, whose first directions are p
                 Z = np.concatenate([Z, np.repeat(Z[:1], new, axis=0)])
-                D = np.concatenate([D, np.repeat(p.v[None], new, axis=0)])
                 env = np.concatenate([env, np.full(new, factor ** j)])
                 shrink = np.concatenate([shrink, np.full(new, 1.0 - run.delta)])
                 margin = np.concatenate([margin, np.full(new, np.inf)])

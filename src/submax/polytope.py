@@ -10,7 +10,8 @@ c in C, ||c||_inf <= alpha  exactly, by a fractional-knapsack greedy per row.
 ``contains_mask_batch`` tests integer sets for the brute-force oracle.  The
 oracle and the membership test also take an (R, n) batch of rows, the
 oracle with one cap per row, and answer each row as a one-row call does:
-the greedy walks all rows at once, as running sums in its own order.
+one sort ranks the entries of every row, and the greedy walks each row in
+turn; membership adds each packing row's terms row by row.
 
 Tie-breaking in every greedy sort is lowest index first, and nonpositive
 weights are zeroed before assigning mass: by down-closedness a coordinate
@@ -33,11 +34,6 @@ FEAS_TOL = 1e-9
 # exponent lies within +-2100 of the span's middle, and the key of a
 # nonpositive weight is the span's last.
 _ROW_SPAN = 1 << 13
-# Up to this many segments (one packing row of one batch row each) the
-# greedy walks its entries in Python; past it, running sums over all the
-# segments at once cost less.  A two-theta sweep keeps two or three batch
-# rows, a 51-theta sweep up to 52.
-_WALK_SEGMENTS = 8
 
 
 @dataclass(frozen=True)
@@ -89,20 +85,15 @@ class Polytope:
     def _layout(self):
         # the rows laid end to end: indices, costs, each cost's negated
         # mantissa, each entry's sort-key origin and the key of a nonpositive
-        # weight (its row's end), each row's (start, stop, budget), and each
-        # row's places padded to a common length: slots[s, t] is the place t
-        # of row s, or L, a dummy place, past the row's end (always once)
+        # weight (its row's end), and each row's (start, stop, budget)
         idx, cost, budgets = zip(*self.rows)
         sizes = [i.size for i in idx]
-        stops = np.cumsum(sizes)
-        starts = stops - sizes
+        stops = np.cumsum(sizes).tolist()
         mc, ec = np.frexp(np.concatenate(cost))
         row = np.repeat(np.arange(len(sizes), dtype=np.int64) * _ROW_SPAN, sizes)
-        t = np.arange(max(sizes) + 1)
-        slots = np.where(t < np.array(sizes)[:, None], starts[:, None] + t, stops[-1])
         return (np.concatenate(idx), np.concatenate(cost), -mc,
                 row + _ROW_SPAN // 2 + ec, row + (_ROW_SPAN - 1),
-                list(zip(starts.tolist(), stops.tolist(), budgets)), slots)
+                list(zip([0] + stops[:-1], stops, budgets)))
 
     def _greedy_fill(self, W: np.ndarray, alpha: np.ndarray) -> np.ndarray:
         # The capped fractional-knapsack greedy on every packing row of every
@@ -114,57 +105,22 @@ class Polytope:
         # exact exponent and its correctly rounded mantissa (negated, so
         # ascending), so none overflows or underflows, and normal-range
         # ratios rank as their float quotients do.
-        idx, cost, neg_mc, origin, end, segments, slots = self._layout
-        R, S = W.shape[0], len(segments)
-        batch = np.arange(R)[:, None]
+        idx, cost, neg_mc, origin, end, segments = self._layout
         wr = W[:, idx]
         mw, ew = np.frexp(wr)
         m, e = np.frexp(mw / neg_mc)
         order = np.lexsort((m, np.where(wr > 0, origin - ew - e, end)), axis=1)
-        w, c, d = wr[batch, order], cost[order], idx[order]
-        out = np.zeros((R, self.n + 1))
-        if R * S <= _WALK_SEGMENTS:
-            # the greedy itself, one entry at a time
-            for r, (ws, cs, ds) in enumerate(zip(w.tolist(), c.tolist(), d.tolist())):
-                row, a = out[r], float(alpha[r])
-                for start, stop, remaining in segments:
-                    for wi, ci, i in zip(ws[start:stop], cs[start:stop], ds[start:stop]):
-                        if remaining <= 0 or wi <= 0:
-                            break
-                        row[i] = fill = min(a, remaining / ci)
-                        remaining -= fill * ci
-            return out[:, :-1]
-        # every packing row q = (r, s) of every batch row as one padded row
-        # of places; the dummy place has weight 0, cost 1 and column n
-        w, c, d = (np.concatenate([v, np.full((R, 1), pad)], axis=1)[:, slots]
-                   .reshape(R * S, -1) for v, pad in ((w, 0.0), (c, 1.0), (d, self.n)))
-        a = alpha.repeat(S)[:, None]
-        with np.errstate(over="ignore"):
-            # the remaining budget before each place while every fill is
-            # alpha: the running sum adds in the greedy's own order, and
-            # r + (-s) is r - s exactly, so each value is the greedy's
-            rem = np.empty((R * S, c.shape[1] + 1))
-            rem.reshape(R, S, -1)[:, :, 0] = [budget for _, _, budget in segments]
-            np.multiply(-a, c, out=rem[:, 1:])
-            np.add.accumulate(rem, axis=1, out=rem)
-            full = np.logical_and.accumulate((w > 0) & (rem[:, :-1] / c >= a), axis=1)
-        fills = full * a
-        # then the partial fills one place at a time, on the few packing rows
-        # whose budget is not used up: the first fill is below alpha, and a
-        # positive leftover from its rounding carries on to the next place
-        t = np.argmin(full, axis=1)
-        q = np.arange(t.size)
-        left = rem[q, t]
-        q = q[(left > 0) & (w[q, t] > 0)]
-        while q.size:
-            tq, cq = t[q], c[q, t[q]]
-            fill = np.minimum(a[q, 0], left[q] / cq)
-            fills[q, tq] = fill
-            left[q] -= fill * cq
-            t[q] += 1
-            q = q[(left[q] > 0) & (w[q, t[q]] > 0)]
-        out[batch, d.reshape(R, -1)] = fills.reshape(R, -1)
-        return out[:, :-1]
+        out = np.zeros_like(W)
+        for row, a, ws, cs, ds in zip(out, alpha.tolist(),
+                                      np.take_along_axis(wr, order, axis=1).tolist(),
+                                      cost[order].tolist(), idx[order].tolist()):
+            for start, stop, remaining in segments:
+                for wi, ci, i in zip(ws[start:stop], cs[start:stop], ds[start:stop]):
+                    if remaining <= 0 or wi <= 0:
+                        break
+                    row[i] = fill = min(a, remaining / ci)
+                    remaining -= fill * ci
+        return out
 
     def contains_mask_batch(self, masks: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -180,18 +136,12 @@ class Polytope:
                   & self._satisfies(X))
         return inside if xv.ndim == 2 else bool(inside[0])
 
-    @cached_property
-    def _packing(self):
-        # the rows as one (n, rows) cost matrix, and each row's budget plus
-        # the tolerance
-        A = np.zeros((self.n, len(self.rows)))
-        for b, (idx, cost, _) in enumerate(self.rows):
-            A[idx, b] = cost
-        return A, np.array([budget for _, _, budget in self.rows]) + FEAS_TOL
-
     def _satisfies(self, X: np.ndarray) -> np.ndarray:
-        A, limit = self._packing
-        return (X @ A <= limit).all(axis=1)
+        # each packing row's sum <cost_b, x_b> of every batch row, added in
+        # the row's own order, so no answer depends on the other batch rows
+        idx, cost, *_, segments = self._layout
+        sums = np.add.reduceat(X[:, idx] * cost, [start for start, _, _ in segments], axis=1)
+        return (sums <= [budget + FEAS_TOL for *_, budget in segments]).all(axis=1)
 
     def describe(self) -> str:
         return self.kind

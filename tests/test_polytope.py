@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import submax as sm
 from submax import CapParam, Point
+from submax.polytope import FEAS_TOL
 
 from helpers import random_constraint
 
@@ -143,11 +144,9 @@ class TestBatchOracle:
     ], ids=["overflow", "underflow", "huge-weights"])
     def test_out_of_range_ratios_rank_exactly_stacked(self, n, costs, budget, w, best):
         # the cases of test_out_of_range_ratios_rank_exactly between rows of
-        # nonpositive weights, which take nothing; twelve rows, past the
-        # batch size the greedy walks row by row
+        # nonpositive weights, which take nothing, in one batch of twelve
         C = sm.KnapsackPolytope(n, costs, budget)
         W = np.stack([-np.array(w), w, np.zeros(n), w] * 3)
-        assert len(W) > sm.polytope._WALK_SEGMENTS
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = C.linear_maximize(W)
@@ -155,8 +154,7 @@ class TestBatchOracle:
 
     def test_fill_matches_float_ratio_greedy_stacked(self):
         # the inputs of test_fill_matches_float_ratio_greedy, nine weight
-        # rows per body and size in one batch (past the batch size the
-        # greedy walks row by row), caps alternating per row
+        # rows per body and size in one batch, caps alternating per row
         rng = np.random.default_rng(5)
         for k in range(2, 40):
             W = np.exp(rng.normal(0.0, 40.0, (9, k))) \
@@ -240,6 +238,26 @@ class TestContains:
                       [0.0, -1e-3, 0.0, 0.0]])
         got = C.contains_point(X)
         assert got.tolist() == [True, False, False, False, False]
+        assert got.tolist() == [C.contains_point(x) for x in X]
+
+    @pytest.mark.parametrize("R", [1, 2, 7, 51])
+    @pytest.mark.parametrize("body", ["cardinality", "partition", "knapsack"])
+    def test_rows_at_the_tolerance_edge_match_one_row(self, body, R):
+        # points scaled onto budget + FEAS_TOL, where rounding in a packing
+        # row's sum decides the answer: each row of a batch is answered as
+        # the one-row call answers it
+        rng = np.random.default_rng(40 + R)
+        n = 37
+        costs = 0.5 + rng.random(n)
+        blocks = [np.arange(0, n, 3), np.arange(1, n, 3), np.arange(2, n, 3)]
+        C = {"cardinality": sm.CardinalityPolytope(n, 5),
+             "partition": sm.PartitionMatroidPolytope(n, blocks, [2, 3, 4]),
+             "knapsack": sm.KnapsackPolytope(n, costs, 0.3 * costs.sum())}[body]
+        X = rng.random((R, n))
+        for idx, cost, budget in C.rows:
+            X[:, idx] *= ((budget + FEAS_TOL) / (X[:, idx] @ cost))[:, None]
+        X = X * (1.0 + rng.integers(-2, 3, (R, 1)) * 1e-16)
+        got = C.contains_point(X)
         assert got.tolist() == [C.contains_point(x) for x in X]
 
 
