@@ -8,6 +8,8 @@ from x(theta) with the uncapped oracle until time 1, giving the greedy
 candidate y(1).  The fallback recomputes the oracle direction at x(theta)
 *without* the cap, giving p, and runs double greedy over the box [0, p] to
 extract z.  The best candidate over all theta and both branches wins.
+Thetas that switch into the same box share its z: a solve runs double
+greedy, and evaluates F(z), once per distinct p.
 
 The cap slows the growth of ||x||_inf, so the discrete envelopes
 
@@ -323,7 +325,10 @@ def solve(f: SetFunction, C: Polytope, run: RunConfig | None = None,
     j is at most the largest theta's step, and the stage-two iterate of
     every theta whose step k_theta is below j.  At j = k_theta stage one's
     gradient also gives v_theta, the fallback direction p and stage two's
-    first direction, so every distinct point gets one gradient row.
+    first direction, so every distinct point gets one gradient row.  The
+    fallback runs once per distinct box [0, p]: the solve keeps (p, z, F(z))
+    by p's bytes, for itself only, and thetas whose p repeats an earlier
+    box take that box's z and value.
 
     When the true integral optimum is supplied (desk-scale instances), the
     per-theta lower-bound diagnostics are evaluated and attached; they are
@@ -344,7 +349,8 @@ def solve(f: SetFunction, C: Polytope, run: RunConfig | None = None,
     Z = np.zeros((1, f.n))
     env, shrink, margin = np.ones(1), np.full(1, factor), np.full(1, np.inf)
     thetas, labels = [grid[0]], [_stage_one_label(run)]
-    branch = []  # per theta: x_theta, g and v_theta there, p, z, stage-one margin
+    branch = []  # per theta: x_theta, g and v_theta there, its box, stage-one margin
+    boxes = {}   # per distinct box [0, p], keyed by p's bytes: (p, z, F(z))
     nxt = 0      # the first theta not switched yet
     for j in range(T + 1):
         if j == T and K < T:
@@ -363,10 +369,13 @@ def solve(f: SetFunction, C: Polytope, run: RunConfig | None = None,
         lead = int(j <= K)  # row 0 is stage one's
         D = C.linear_maximize(G, [capped] * lead + [uncapped] * (len(G) - lead))
         if new:
-            v, p = Point.trusted(D[0].copy()), Point.trusted(D[R].copy())
-            z = _fallback(f, cfg, p)
+            v, key = Point.trusted(D[0].copy()), D[R].tobytes()
+            if key not in boxes:
+                p = Point.trusted(D[R].copy())
+                z = _fallback(f, cfg, p)
+                boxes[key] = (p, z, multilinear(f, z, cfg))
             for _ in range(first, nxt):
-                branch.append((Point(Z[0]), G[0], v, p, z, float(margin[0])))
+                branch.append((Point(Z[0]), G[0], v, boxes[key], float(margin[0])))
             if j < T:  # their stage-two rows, whose first directions are p
                 Z = np.concatenate([Z, np.repeat(Z[:1], new, axis=0)])
                 env = np.concatenate([env, np.full(new, factor ** j)])
@@ -387,13 +396,13 @@ def solve(f: SetFunction, C: Polytope, run: RunConfig | None = None,
     per_theta = []
     two = sum(k < T for k in steps)
     rows = iter(zip(Z[len(Z) - two:], margin[len(Z) - two:]))
-    for theta, k, (x_theta, g, v, p, z, dampened_margin) in zip(grid, steps, branch):
+    for theta, k, (x_theta, g, v, (p, z, z_value), dampened_margin) \
+            in zip(grid, steps, branch):
         y, standard_margin = next(rows) if k < T else (x_theta.v, np.inf)
         y1 = Point(y)
         per_theta.append(ThetaResult(
             theta=theta, x_theta=x_theta, x_value=multilinear(f, x_theta, cfg),
-            y1=y1, y1_value=multilinear(f, y1, cfg),
-            p=p, z=z, z_value=multilinear(f, z, cfg),
+            y1=y1, y1_value=multilinear(f, y1, cfg), p=p, z=z, z_value=z_value,
             final_inner=float(g @ v.v),
             dampened_steps=k, standard_steps=T - k,
             dampened_margin=dampened_margin, standard_margin=float(standard_margin)))

@@ -10,8 +10,9 @@ c in C, ||c||_inf <= alpha  exactly, by a fractional-knapsack greedy per row.
 ``contains_mask_batch`` tests integer sets for the brute-force oracle.  The
 oracle and the membership test also take an (R, n) batch of rows, the
 oracle with one cap per row, and answer each row as a one-row call does:
-one sort ranks the entries of every row, and the greedy walks each row in
-turn; membership adds each packing row's terms row by row.
+one sort ranks the entries of every row, the greedy walks each row in turn
+collecting its fills, and one assignment stores every fill of the batch;
+membership adds each packing row's terms row by row.
 
 Tie-breaking in every greedy sort is lowest index first, and nonpositive
 weights are zeroed before assigning mass: by down-closedness a coordinate
@@ -104,22 +105,31 @@ class Polytope:
         # descending, ties to the lower index.  The ratio is ranked by its
         # exact exponent and its correctly rounded mantissa (negated, so
         # ascending), so none overflows or underflows, and normal-range
-        # ratios rank as their float quotients do.
+        # ratios rank as their float quotients do.  The walk collects each
+        # fill with its batch row and coordinate in flat lists, and one
+        # fancy-indexed assignment stores them all at the end.
         idx, cost, neg_mc, origin, end, segments = self._layout
         wr = W[:, idx]
         mw, ew = np.frexp(wr)
         m, e = np.frexp(mw / neg_mc)
         order = np.lexsort((m, np.where(wr > 0, origin - ew - e, end)), axis=1)
-        out = np.zeros_like(W)
-        for row, a, ws, cs, ds in zip(out, alpha.tolist(),
-                                      np.take_along_axis(wr, order, axis=1).tolist(),
-                                      cost[order].tolist(), idx[order].tolist()):
+        rows, cols, fills = [], [], []
+        for r, a, ws, cs, ds in zip(range(len(W)), alpha.tolist(),
+                                    np.take_along_axis(wr, order, axis=1).tolist(),
+                                    cost[order].tolist(), idx[order].tolist()):
             for start, stop, remaining in segments:
                 for wi, ci, i in zip(ws[start:stop], cs[start:stop], ds[start:stop]):
                     if remaining <= 0 or wi <= 0:
                         break
-                    row[i] = fill = min(a, remaining / ci)
+                    fill = remaining / ci
+                    if not fill < a:  # min(a, remaining / ci)
+                        fill = a
+                    rows.append(r)
+                    cols.append(i)
+                    fills.append(fill)
                     remaining -= fill * ci
+        out = np.zeros_like(W)
+        out[rows, cols] = fills
         return out
 
     def contains_mask_batch(self, masks: np.ndarray) -> np.ndarray:

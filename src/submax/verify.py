@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .cgreedy import ENV_TOL, RunConfig, solve
+from .cgreedy import ENV_TOL, RunConfig, SolveReport, solve
 from .dgbox import BoxInstance, double_greedy_box_run, guarantee_floor
 from .errors import EstimatorError
 from .polytope import (CapParam, CardinalityPolytope, KnapsackPolytope,
@@ -367,11 +367,34 @@ def dgbox_checks(f: SetFunction, rng: np.random.Generator,
     ]
 
 
+FALLBACK_BOX_LIMIT = 10  # the box optimum enumerates 2^n corners per box
+
+
+def fallback_box_check(f: SetFunction, report: SolveReport) -> CheckResult:
+    """Double greedy's floor F(z) >= 1/2 F(box OPT) + 1/4 F(0) + 1/4 F(p) on
+    every distinct fallback box [0, p] of a solve, each (p, z) pair checked
+    once, with exact evaluation whatever mode the solve ran in."""
+    cfg = default_config(f)
+    origin = Point.zeros(f.n)
+    f0 = multilinear(f, origin, cfg)
+    pairs = {(r.p.v.tobytes(), r.z.v.tobytes()): (r.p, r.z) for r in report.per_theta}
+    worst = np.inf
+    for p, z in pairs.values():
+        _, box_opt = brute_force_box_opt(f, origin, p)
+        floor = guarantee_floor(f0, multilinear(f, p, cfg), box_opt)
+        worst = min(worst, multilinear(f, z, cfg) - floor)
+    return CheckResult("fallback double greedy floor on every distinct box",
+                       worst >= -1e-9, True,
+                       f"boxes {len(pairs)}, worst margin {worst:.2e}")
+
+
 def solver_checks(f: SetFunction, C: Polytope,
                   run: RunConfig | None = None) -> list[CheckResult]:
     """End-to-end run: the worst envelope margin, best-value reproduction,
-    feasibility of the returned point, the lower-bound diagnostics, and the
-    certified ratio when the instance is small enough to brute force."""
+    feasibility of the returned point, double greedy's floor on each
+    distinct fallback box (n <= FALLBACK_BOX_LIMIT), the lower-bound
+    diagnostics, and the certified ratio when the instance is small enough
+    to brute force."""
     if run is None:
         run = RunConfig()
     out = []
@@ -389,6 +412,8 @@ def solver_checks(f: SetFunction, C: Polytope,
                            f"dev {abs(redo - report.best_value):.2e}"))
     out.append(CheckResult("best point feasible",
                            C.contains_point(report.best), True))
+    if f.n <= FALLBACK_BOX_LIMIT:
+        out.append(fallback_box_check(f, report))
     if report.diagnostics:
         hard_ok = all(d.passed for d in report.diagnostics)
         strict_ok = all(d.passed_strict for d in report.diagnostics)

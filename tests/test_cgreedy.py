@@ -8,7 +8,7 @@ import pytest
 
 import submax as sm
 from submax import (CapParam, ConfigError, EstimatorConfig, InvariantError,
-                    Point, RunConfig, setfn)
+                    Point, RunConfig, cgreedy, setfn)
 from submax.cli import main
 
 from helpers import (random_constraint, random_coverage, random_cut,
@@ -394,6 +394,44 @@ class TestSinglePassSweep:
             assert np.array_equal(r.x_theta.v, x_theta.v)
             y1, _ = sm.standard_stage(f, C, run, x_theta, r.theta)
             assert np.array_equal(r.y1.v, y1.v)
+
+
+class TestOneFallbackPerBox:
+    # the default run in closed mode; exact and mc modes on a coarser grid,
+    # to keep them fast
+    @pytest.mark.parametrize("run", [RunConfig()] + [
+        RunConfig(delta=0.05, theta_grid=tuple(np.round(np.linspace(0.0, 1.0, 21), 10)),
+                  cfg=cfg)
+        for cfg in (EstimatorConfig(mode="exact"),
+                    EstimatorConfig(mode="mc", sample_count=200, rng_seed=7))
+    ], ids=["closed", "exact", "mc"])
+    def test_one_double_greedy_per_distinct_box(self, monkeypatch, run):
+        f, C = sm.gen("coverage", 12, "knapsack", 5).build()
+        cfg = run.resolve_cfg(f)
+        boxes = []
+        inner = cgreedy.double_greedy_box
+
+        def counted(inst):
+            boxes.append(inst.v.v.tobytes())
+            return inner(inst)
+
+        monkeypatch.setattr(cgreedy, "double_greedy_box", counted)
+        report = sm.solve(f, C, run)
+        distinct = {r.p.v.tobytes() for r in report.per_theta}
+        assert sorted(boxes) == sorted(distinct)
+        assert len(distinct) < len(report.per_theta)  # thetas share boxes
+        if cfg.mode == "closed":
+            assert len(distinct) == 5
+        # each theta's box, solution and value are the per-theta fallback's;
+        # in mc mode p comes from stage one's gradient sub-stream at x(theta)
+        for r in report.per_theta:
+            stream = cfg.substream(cgreedy._stage_one_label(run), r.dampened_steps) \
+                if cfg.mode == "mc" else cfg
+            p, z = sm.dg_branch(f, C, r.x_theta, stream)
+            assert r.p.v.tobytes() == p.v.tobytes(), r.theta
+            assert r.z.v.tobytes() == z.v.tobytes(), r.theta
+            assert np.float64(r.z_value).tobytes() \
+                == np.float64(sm.multilinear(f, z, cfg)).tobytes(), r.theta
 
 
 def _identity_gradient(self, x):

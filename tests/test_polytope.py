@@ -10,7 +10,7 @@ import submax as sm
 from submax import CapParam, Point
 from submax.polytope import FEAS_TOL
 
-from helpers import random_constraint
+from helpers import random_constraint, reference_greedy_fill
 
 
 class TestLinearMaximizeExamples:
@@ -342,3 +342,40 @@ def test_down_closedness_probe(seed, n):
     x = rng.random(n)
     if C.contains_point(x):
         assert C.contains_point(x * rng.random(n))
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+       R=st.sampled_from([1, 2, 7, 52]),
+       body=st.sampled_from(["cardinality", "partition", "knapsack"]),
+       tied=st.booleans(), exact=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_greedy_fill_matches_the_per_row_walk(seed, n, R, body, tied, exact):
+    # stacked weight rows with mixed caps: tied ratios come from rounded
+    # weights over equal costs, some rows are all nonpositive, and exact
+    # budgets (sums of small integer costs under dyadic caps) run out to 0
+    rng = np.random.default_rng(seed)
+    W = rng.normal(size=(R, n))
+    if tied:
+        W = np.round(W * 2.0) / 2.0
+    nonpositive = rng.random(R) < 0.25
+    W[nonpositive] = -np.abs(W[nonpositive])
+    alpha = rng.choice([0.25, 0.5, 0.75, 1.0] if exact else [0.3, 0.5, 0.7, 1.0], R)
+    if exact or tied:
+        costs = rng.choice([1.0, 2.0, 4.0] if exact else [1.0], n)
+    else:
+        costs = 0.5 + rng.random(n)
+
+    def budget(cs):
+        if exact:  # a sum of costs: every fill below stays exact
+            return float(cs[: int(rng.integers(1, cs.size + 1))].sum())
+        return float(rng.uniform(0.2, 0.9) * cs.sum())
+
+    if body == "cardinality":
+        C = sm.CardinalityPolytope(n, budget(np.ones(n)))
+    elif body == "knapsack":
+        C = sm.KnapsackPolytope(n, costs, budget(costs))
+    else:
+        blocks = np.array_split(rng.permutation(n), int(rng.integers(1, min(3, n) + 1)))
+        C = sm.PartitionMatroidPolytope(n, blocks, [budget(np.ones(b.size)) for b in blocks])
+    got = C._greedy_fill(W, alpha)
+    assert got.tobytes() == reference_greedy_fill(C, W, alpha).tobytes()

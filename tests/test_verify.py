@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import submax as sm
-from submax import EstimatorError, Point
+from submax import EstimatorConfig, EstimatorError, Point
 
 from helpers import random_table_function
 
@@ -188,6 +188,26 @@ class TestPropertySuite:
         monkeypatch.setattr(sm.verify, "solve", broken)
         check = {r.name: r for r in sm.verify.solver_checks(f, C, run)}[name]
         assert not check.passed and check.detail == "worst margin -1.00e-09"
+
+    @pytest.mark.parametrize("mode", ["closed", "mc"])
+    def test_fallback_box_check_catches_a_halved_fallback(self, monkeypatch, mode):
+        name = "fallback double greedy floor on every distinct box"
+        f, C = sm.gen("coverage", 8, "knapsack", 3).build()
+        cfg = EstimatorConfig(mode=mode, sample_count=200, rng_seed=1)
+        run = sm.RunConfig(delta=0.05, theta_grid=(0.0, 0.2, 0.5, 1.0), cfg=cfg)
+        check = {r.name: r for r in sm.verify.solver_checks(f, C, run)}[name]
+        assert check.hard and check.passed
+        fallback = sm.cgreedy._fallback
+        monkeypatch.setattr(sm.cgreedy, "_fallback",
+                            lambda f, cfg, p: Point(0.5 * fallback(f, cfg, p).v))
+        check = {r.name: r for r in sm.verify.solver_checks(f, C, run)}[name]
+        assert check.hard and not check.passed
+
+    def test_fallback_box_check_stops_above_ten_elements(self):
+        f, C = sm.gen("coverage", 11, "knapsack", 3).build()
+        run = sm.RunConfig(delta=0.05, theta_grid=(0.0, 0.2))
+        names = [r.name for r in sm.verify.solver_checks(f, C, run)]
+        assert "fallback double greedy floor on every distinct box" not in names
 
     def test_closed_form_gradient_check_runs_and_catches_a_wrong_gradient(
             self, monkeypatch):
