@@ -3,7 +3,8 @@ double-greedy fallback, swept over the switch time theta.
 
 Stage one grows x from 0 for time theta using the capped oracle
 argmax{ <grad F(x) o (1-x), c> : c in C, ||c||_inf <= alpha } and the
-multiplicative Euler update x <- x + delta * v o (1-x).  Stage two continues
+multiplicative Euler update x <- x + delta * v o (1-x), stepped on the
+complement s = 1 - x as s <- s o (1 - delta*v).  Stage two continues
 from x(theta) with the uncapped oracle until time 1, giving the greedy
 candidate y(1).  The fallback recomputes the oracle direction at x(theta)
 *without* the cap, giving p, and runs double greedy over the box [0, p] to
@@ -17,8 +18,10 @@ The cap slows the growth of ||x||_inf, so the discrete envelopes
     stage two:  1 - y_i(t) >= (1 - delta*alpha)^(theta/delta)
                               * (1 - delta)^((t-theta)/delta)
 
-hold at every step by construction; they are asserted during the run, as is
-membership of every iterate in the constraint body, and a violation raises
+hold at every step by construction.  They are asserted exactly, as s >= env
+for env the running product of the factors (1 - delta*cap): rounding is
+monotone and the oracle gives v <= cap exactly, so each step keeps s >= env.
+A violation, or an iterate outside the constraint body, raises
 ``InvariantError`` naming the row's theta, step, coordinate and margin.
 
 ``solve`` is one pass over the time axis.  Every x(theta) lies on the same
@@ -27,9 +30,10 @@ global step j the stage-one iterate (up to the largest theta's step) and the
 stage-two iterate of every theta that switched before j are the rows of one
 (R, n) batch.  Each step takes one batched gradient (one per distinct
 point), one batched oracle call with a cap per row (alpha for stage one, 1
-for stage two), and one Euler step that checks every row.  The gradient and
-the oracle answer each row as they answer it alone, bit for bit, so the
-sweep equals the per-theta composition of ``dampened_stage`` and
+for stage two), and one Euler step that checks every row; in mc mode the
+rows of step j draw from the one sub-stream (j,).  The gradient and the
+oracle answer each row as they answer it alone, bit for bit, so the sweep
+equals the per-theta composition of ``dampened_stage`` and
 ``standard_stage`` (the same step routine on one row, recording per-step
 trajectories) and ``dg_branch``.
 """
@@ -46,7 +50,6 @@ from .polytope import CapParam, Polytope
 from .setfn import (EstimatorConfig, Point, SetFunction, default_config,
                     max_singleton, multilinear, residual_gradient)
 
-ENV_TOL = 1e-12
 THETA_TOL = 1e-12
 STEP_LIMIT = 10_000  # Euler steps per run, so delta >= 1e-4
 
@@ -131,70 +134,54 @@ class Trajectory:
         self.inner_products.append(float(g @ v.v))
 
 
-def _stage_one_label(run: RunConfig) -> int:
-    """MC sub-stream label of stage one's gradients.  Stage two at theta
-    labels step j (k_theta, j) with k_theta <= total_steps, so this label
-    never collides with it and does not depend on theta."""
-    return run.total_steps + 1
-
-
-def _gradients(f: SetFunction, cfg: EstimatorConfig, X: np.ndarray,
-               labels: list[int], j: int) -> np.ndarray:
-    """The residual gradient at every row of X.  In mc mode row r draws from
-    its own sub-stream (labels[r], j), so no row depends on the batch."""
-    if cfg.mode != "mc":
-        return residual_gradient(f, X, cfg)
-    return np.array([residual_gradient(f, x, cfg.substream(label, j))
-                     for x, label in zip(X, labels)])
-
-
-def _step(C: Polytope, run: RunConfig, X: np.ndarray, V: np.ndarray,
+def _step(C: Polytope, run: RunConfig, S: np.ndarray, V: np.ndarray,
           env: np.ndarray, thetas: list[float], j: int):
-    """Euler step j -> j+1 of every row, X + delta * V o (1-X).
+    """Euler step j -> j+1 of every row, on its complement: S o (1 - delta*V).
 
-    Asserts each row's l-inf envelope 1 - x >= env[r] and membership of
-    every new iterate in C, reporting a violation against thetas[r]; returns
-    the new iterates and each row's envelope margin.
+    Asserts each row's l-inf envelope s >= env[r], with no tolerance, and
+    membership of every new iterate X = 1 - S in C, reporting a violation
+    against thetas[r]; returns the new complements, the new iterates and
+    each row's envelope margin.
     """
-    X = X + run.delta * V * (1.0 - X)
-    slack = (1.0 - X) - env[:, None]
+    S = S * (1.0 - run.delta * V)
+    slack = S - env[:, None]
     margin = slack.min(axis=1)
-    if margin.min() < -ENV_TOL:
-        r = int(np.argmax(margin < -ENV_TOL))
+    if margin.min() < 0:
+        r = int(np.argmax(margin < 0))
         raise InvariantError("l-inf envelope violated", thetas[r], j + 1,
                              int(np.argmin(slack[r])), float(margin[r]))
+    X = 1.0 - S
     inside = C.contains_point(X)
     if not np.all(inside):
         r = int(np.argmin(inside))
         raise InvariantError("iterate left the constraint body", thetas[r], j + 1,
                              int(np.argmin(slack[r])), float(margin[r]))
-    return X, margin
+    return S, X, margin
 
 
 def _direction(f: SetFunction, C: Polytope, cfg: EstimatorConfig,
-               x: np.ndarray, cap: CapParam, label: int, j: int):
-    """The residual gradient at the one point x and the oracle direction it
-    selects under ``cap``."""
-    g = _gradients(f, cfg, x[None], [label], j)[0]
+               x: np.ndarray, cap: CapParam, j: int):
+    """The residual gradient at the one point x at step j and the oracle
+    direction it selects under ``cap``."""
+    g = residual_gradient(f, x[None], cfg.substream(j) if cfg.mode == "mc" else cfg)[0]
     return g, C.linear_maximize(g, cap)
 
 
 def _stage(f: SetFunction, C: Polytope, run: RunConfig, theta: float,
-           x: np.ndarray, first: int, last: int, cap: CapParam, env: float,
-           factor: float, label: int):
-    """Steps first..last-1 of one greedy stage on the one row x: the R = 1
-    case of the sweep.  The envelope shrinks by ``factor`` per step; step
-    j's gradient draws (in mc mode) from sub-stream (label, j), the first
-    from stage one's.  Returns the final point and the trajectory."""
+           x: np.ndarray, first: int, last: int, cap: CapParam, env: float):
+    """Steps first..last-1 of one greedy stage from the one point x, whose
+    complement starts at 1 - x and its envelope at ``env``: the R = 1 case
+    of the sweep.  Returns the final point and the trajectory."""
     cfg = run.resolve_cfg(f)
+    shrink = 1.0 - run.delta * cap.alpha
+    s = 1.0 - x
     traj = Trajectory()
     for j in range(first, last):
-        g, v = _direction(f, C, cfg, x, cap,
-                          _stage_one_label(run) if j == first else label, j)
+        g, v = _direction(f, C, cfg, x, cap, j)
         traj.add(j * run.delta, x, g, v)
-        env *= factor
-        X, margin = _step(C, run, x[None], v.v[None], np.array([env]), [theta], j)
-        x = X[0]
+        env *= shrink
+        S, X, margin = _step(C, run, s[None], v.v[None], np.array([env]), [theta], j)
+        s, x = S[0], X[0]
         traj.min_envelope_margin = min(traj.min_envelope_margin, float(margin[0]))
     return x, traj
 
@@ -212,19 +199,20 @@ def dampened_stage(f: SetFunction, C: Polytope, run: RunConfig, theta: float):
     direction computed at the final point; the fallback branch bound needs it
     even though it is never applied as an update.
     """
-    k, cap, label = run.steps_of(theta), CapParam(run.alpha), _stage_one_label(run)
-    x, traj = _stage(f, C, run, theta, np.zeros(f.n), 0, k, cap, 1.0,
-                     1.0 - run.delta * run.alpha, label)
-    _, v = _direction(f, C, run.resolve_cfg(f), x, cap, label, k)
+    k, cap = run.steps_of(theta), CapParam(run.alpha)
+    x, traj = _stage(f, C, run, theta, np.zeros(f.n), 0, k, cap, 1.0)
+    _, v = _direction(f, C, run.resolve_cfg(f), x, cap, k)
     return Point(x), v, traj
 
 
 def standard_stage(f: SetFunction, C: Polytope, run: RunConfig,
                    start: Point, theta: float):
     """Continue uncapped from x(theta) until time 1; returns (y1, trajectory)."""
-    k = run.steps_of(theta)
+    k, env = run.steps_of(theta), 1.0
+    for _ in range(k):  # stage one's envelope, as the sweep multiplies it down
+        env *= 1.0 - run.delta * run.alpha
     y, traj = _stage(f, C, run, theta, start.v, k, run.total_steps, CapParam(1.0),
-                     (1.0 - run.delta * run.alpha) ** k, 1.0 - run.delta, k)
+                     1.0 - (1.0 - env))
     return Point(y), traj
 
 
@@ -341,22 +329,24 @@ def solve(f: SetFunction, C: Polytope, run: RunConfig | None = None,
     steps = [run.steps_of(t) for t in grid]
     K = steps[-1]
     capped, uncapped = CapParam(run.alpha), CapParam(1.0)
-    factor = 1.0 - run.delta * run.alpha
-    # the batch: stage one's iterate in row 0 up to step K, then the
-    # stage-two iterate of every theta switched so far, in grid order; per
-    # row its envelope, the envelope's factor per step, its worst margin so
-    # far, the theta a violation is reported against, and its mc label
-    Z = np.zeros((1, f.n))
-    env, shrink, margin = np.ones(1), np.full(1, factor), np.full(1, np.inf)
-    thetas, labels = [grid[0]], [_stage_one_label(run)]
+    mc = cfg.mode == "mc"
+    # the batch: stage one's complement s = 1 - x in row 0 up to step K,
+    # then the stage-two complement of every theta switched so far, in grid
+    # order, and their points X = 1 - S; per row its envelope, the
+    # envelope's factor per step, its worst margin so far, and the theta a
+    # violation is reported against
+    S, X, thetas = np.ones((1, f.n)), np.zeros((1, f.n)), [grid[0]]
+    env, margin = np.ones(1), np.full(1, np.inf)
+    shrink = np.full(1, 1.0 - run.delta * run.alpha)
     branch = []  # per theta: x_theta, g and v_theta there, its box, stage-one margin
     boxes = {}   # per distinct box [0, p], keyed by p's bytes: (p, z, F(z))
     nxt = 0      # the first theta not switched yet
     for j in range(T + 1):
         if j == T and K < T:
             break
-        # at step T only stage one's last point, when theta 1 is on the grid
-        G = _gradients(f, cfg, Z if j < T else Z[:1], labels, j)
+        # at step T only stage one's last point, when theta 1 is on the grid;
+        # in mc mode every row of step j draws from the one sub-stream (j,)
+        G = residual_gradient(f, X if j < T else X[:1], cfg.substream(j) if mc else cfg)
         first = nxt
         while nxt < len(grid) and steps[nxt] == j:
             nxt += 1
@@ -375,27 +365,28 @@ def solve(f: SetFunction, C: Polytope, run: RunConfig | None = None,
                 z = _fallback(f, cfg, p)
                 boxes[key] = (p, z, multilinear(f, z, cfg))
             for _ in range(first, nxt):
-                branch.append((Point(Z[0]), G[0], v, boxes[key], float(margin[0])))
-            if j < T:  # their stage-two rows, whose first directions are p
-                Z = np.concatenate([Z, np.repeat(Z[:1], new, axis=0)])
-                env = np.concatenate([env, np.full(new, factor ** j)])
+                branch.append((Point.trusted(X[0].copy()), G[0], v, boxes[key],
+                               float(margin[0])))
+            if j < T:  # their stage-two rows, whose first directions are p;
+                # s and env both pass through t -> 1 - t, which is monotone
+                S = np.concatenate([S, np.repeat(1.0 - X[:1], new, axis=0)])
+                env = np.concatenate([env, np.full(new, 1.0 - (1.0 - env[0]))])
                 shrink = np.concatenate([shrink, np.full(new, 1.0 - run.delta)])
                 margin = np.concatenate([margin, np.full(new, np.inf)])
                 thetas += grid[first:nxt]
-                labels += [j] * new
         if j == T:
             break
         if j == K:  # stage one ends at the last theta
-            Z, D, env, shrink, margin = Z[1:], D[1:], env[1:], shrink[1:], margin[1:]
-            thetas, labels = thetas[1:], labels[1:]
+            S, D, env, shrink, margin = S[1:], D[1:], env[1:], shrink[1:], margin[1:]
+            thetas = thetas[1:]
         elif j < K:  # report stage one's step against the next theta
             thetas[0] = grid[nxt]
         env = env * shrink
-        Z, M = _step(C, run, Z, D, env, thetas, j)
+        S, X, M = _step(C, run, S, D, env, thetas, j)
         margin = np.minimum(margin, M)
     per_theta = []
     two = sum(k < T for k in steps)
-    rows = iter(zip(Z[len(Z) - two:], margin[len(Z) - two:]))
+    rows = iter(zip(X[len(X) - two:], margin[len(X) - two:]))
     for theta, k, (x_theta, g, v, (p, z, z_value), dampened_margin) \
             in zip(grid, steps, branch):
         y, standard_margin = next(rows) if k < T else (x_theta.v, np.inf)

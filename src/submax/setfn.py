@@ -148,8 +148,8 @@ def as_array(x) -> np.ndarray:
 class EstimatorConfig:
     """How to evaluate the multilinear extension.
 
-    ``stream`` extends the seed so that nested runs (per theta, per time
-    step) draw from disjoint, reproducible counter-based streams.
+    ``stream`` extends the seed so that nested runs (a solve's Euler steps)
+    draw from disjoint, reproducible counter-based streams.
     """
 
     mode: str = "exact"

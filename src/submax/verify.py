@@ -15,9 +15,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .cgreedy import ENV_TOL, RunConfig, SolveReport, solve
+from .cgreedy import RunConfig, SolveReport, solve
 from .dgbox import BoxInstance, double_greedy_box_run, guarantee_floor
-from .errors import EstimatorError
+from .errors import ConfigError, EstimatorError
 from .polytope import (CapParam, CardinalityPolytope, KnapsackPolytope,
                        PartitionMatroidPolytope, Polytope)
 from .setfn import (EXACT_ENUM_LIMIT, EstimatorConfig, Point, SetFunction,
@@ -26,6 +26,7 @@ from .setfn import (EXACT_ENUM_LIMIT, EstimatorConfig, Point, SetFunction,
                     one_coordinate_gradient)
 
 BRUTE_FORCE_LIMIT = 20
+BOUND_GRID_LIMIT = 100_000  # thetas of best_bound_theta, one formula call each
 
 
 def _all_masks(n: int) -> np.ndarray:
@@ -66,9 +67,9 @@ def compute_bound(alpha: float, theta: float) -> float:
     """Closed-form approximation constant C(alpha, theta) of the two-branch
     trade-off.  C(1/2, 0.18) > 0.372; C(alpha, 0) = 1/e for every alpha."""
     if not (0.5 <= alpha <= 1.0):
-        raise ValueError(f"alpha must lie in [1/2, 1], got {alpha}")
+        raise ConfigError(f"alpha must lie in [1/2, 1], got {alpha}")
     if not (0.0 <= theta <= 1.0):
-        raise ValueError(f"theta must lie in [0, 1], got {theta}")
+        raise ConfigError(f"theta must lie in [0, 1], got {theta}")
     e_damp = np.exp((1.0 - alpha) * theta - 1.0)
     e_th = np.exp(theta - 1.0)
     num = (1.0 - theta) * e_damp \
@@ -78,7 +79,11 @@ def compute_bound(alpha: float, theta: float) -> float:
 
 
 def best_bound_theta(alpha: float, grid_points: int = 1000):
-    """Grid-search the maximizing switch time; returns (theta, bound)."""
+    """Grid-search the maximizing switch time over 1 to BOUND_GRID_LIMIT
+    evenly spaced thetas; returns (theta, bound)."""
+    if not (1 <= grid_points <= BOUND_GRID_LIMIT):
+        raise ConfigError(f"grid must hold 1 to {BOUND_GRID_LIMIT} points, "
+                          f"got {grid_points}")
     thetas = np.linspace(0.0, 1.0, grid_points)
     vals = [compute_bound(alpha, t) for t in thetas]
     i = int(np.argmax(vals))
@@ -405,7 +410,7 @@ def solver_checks(f: SetFunction, C: Polytope,
     cfg = run.resolve_cfg(f)
     env = min(min(r.dampened_margin, r.standard_margin) for r in report.per_theta)
     out.append(CheckResult("trajectory envelopes hold at every step",
-                           env >= -ENV_TOL, True, f"worst margin {env:.2e}"))
+                           env >= 0, True, f"worst margin {env:.2e}"))
     redo = multilinear(f, report.best, cfg)
     out.append(CheckResult("best value reproduces on re-evaluation",
                            abs(redo - report.best_value) <= 1e-9, True,

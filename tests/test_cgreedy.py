@@ -224,8 +224,8 @@ class TestSolve:
             assert C.contains_point(r.x_theta)
             assert C.contains_point(r.y1)
             assert C.contains_point(r.z)
-            assert r.dampened_margin >= -1e-12
-            assert r.standard_margin >= -1e-12
+            assert r.dampened_margin >= 0.0
+            assert r.standard_margin >= 0.0
         assert report.diagnostics
         assert all(d.passed for d in report.diagnostics)
 
@@ -387,13 +387,13 @@ class TestSinglePassSweep:
 
         monkeypatch.setattr(EstimatorConfig, "substream", spy)
         report = sm.solve(f, C, run)
-        # every gradient of the sweep draws from a sub-stream of its own
-        assert len(labels) == len(set(labels))
+        # every row of step j draws from the one sub-stream (j,), once
+        assert labels == [(j,) for j in range(run.total_steps)]
         for r in report.per_theta:
             x_theta, _, _ = sm.dampened_stage(f, C, run, r.theta)
-            assert np.array_equal(r.x_theta.v, x_theta.v)
+            assert r.x_theta.v.tobytes() == x_theta.v.tobytes(), r.theta
             y1, _ = sm.standard_stage(f, C, run, x_theta, r.theta)
-            assert np.array_equal(r.y1.v, y1.v)
+            assert r.y1.v.tobytes() == y1.v.tobytes(), r.theta
 
 
 class TestOneFallbackPerBox:
@@ -425,8 +425,7 @@ class TestOneFallbackPerBox:
         # each theta's box, solution and value are the per-theta fallback's;
         # in mc mode p comes from stage one's gradient sub-stream at x(theta)
         for r in report.per_theta:
-            stream = cfg.substream(cgreedy._stage_one_label(run), r.dampened_steps) \
-                if cfg.mode == "mc" else cfg
+            stream = cfg.substream(r.dampened_steps) if cfg.mode == "mc" else cfg
             p, z = sm.dg_branch(f, C, r.x_theta, stream)
             assert r.p.v.tobytes() == p.v.tobytes(), r.theta
             assert r.z.v.tobytes() == z.v.tobytes(), r.theta
@@ -493,11 +492,47 @@ def _stage_two_point(f, C, run, theta, step):
     _, traj = sm.standard_stage(f, C, run, x_theta, theta)
     k = run.steps_of(theta)
     y = traj.points[step - k].v
-    env = (1.0 - run.delta * run.alpha) ** k
-    for _ in range(step - k):  # the envelope as the run multiplies it down
+    # the envelope as the run multiplies it down, through 1 - (1 - env) at
+    # the switch; the slack is the run's where the complement 1 - y is at
+    # least 1/2, as 1 - y is then exact
+    env = 1.0
+    for _ in range(k):
+        env *= 1.0 - run.delta * run.alpha
+    env = 1.0 - (1.0 - env)
+    for _ in range(step - k):
         env *= 1.0 - run.delta
     slack = (1.0 - y) - env
     return y, int(np.argmin(slack)), float(slack.min())
+
+
+def _hold_at_cap(run, cap, steps):
+    """Drive one batch row through ``steps`` Euler steps with the direction
+    (cap, cap/3, 0): coordinate 0 sits on its envelope at every step, the
+    tightest case.  Returns every step's margin."""
+    C = sm.CardinalityPolytope(3, 3)
+    S, env = np.ones((1, 3)), np.ones(1)
+    V = np.array([[cap, cap / 3.0, 0.0]])
+    margins = []
+    for j in range(steps):
+        env = env * (1.0 - run.delta * cap)
+        S, _, margin = cgreedy._step(C, run, S, V, env, [0.0], j)
+        margins.append(float(margin[0]))
+    return margins
+
+
+class TestExactEnvelope:
+    @pytest.mark.parametrize("cap", [1.0, 0.5])
+    def test_margin_never_negative_up_to_the_step_limit(self, cap):
+        run = RunConfig(delta=1e-4, theta_grid=(0.0,))
+        assert min(_hold_at_cap(run, cap, run.total_steps)) >= 0.0
+
+    @pytest.mark.parametrize("cap", [1.0, 0.5])
+    def test_no_false_alarm_past_the_step_limit(self, monkeypatch, cap):
+        # iterating on x rather than 1 - x, this loop drifted below the
+        # envelope by 1e-12 at step 29,432 (cap 1)
+        monkeypatch.setattr(cgreedy, "STEP_LIMIT", 100_000)
+        run = RunConfig(delta=1e-5, theta_grid=(0.0,))
+        assert min(_hold_at_cap(run, cap, 30_000)) >= 0.0
 
 
 class TestInvariantError:

@@ -217,6 +217,25 @@ class TestCli:
         out = capsys.readouterr().out
         assert "0.3721" in out
 
+    @pytest.mark.parametrize("flags,name", [
+        (["--alpha", "2"], "alpha"),
+        (["--alpha", "nan"], "alpha"),
+        (["--theta", "3"], "theta"),
+        (["--grid", "0"], "grid"),
+        (["--grid", "-3"], "grid"),
+        (["--grid", "1000000000000"], "grid"),
+    ], ids=["alpha-2", "alpha-nan", "theta-3", "grid-0", "grid-neg", "grid-huge"])
+    def test_bound_out_of_range_exits_2_without_allocating(self, capsys, flags, name):
+        tracemalloc.start()
+        try:
+            assert main(["bound", *flags]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err
+
     def test_malformed_file_is_a_parse_error(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text("{not json")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import submax as sm
-from submax import EstimatorConfig, EstimatorError, Point
+from submax import ConfigError, EstimatorConfig, EstimatorError, Point
 
 from helpers import random_table_function
 
@@ -125,10 +125,13 @@ class TestComputeBound:
         assert np.max(np.abs(np.diff(vals))) < 1e-3
 
     def test_domain_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             sm.compute_bound(0.4, 0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             sm.compute_bound(0.5, 1.5)
+        for grid in (0, -3, sm.verify.BOUND_GRID_LIMIT + 1):
+            with pytest.raises(ConfigError, match="grid"):
+                sm.best_bound_theta(0.5, grid)
 
 
 class TestJoinLowerBound:
@@ -178,16 +181,16 @@ class TestPropertySuite:
         check = {r.name: r for r in sm.verify.solver_checks(f, C, run)}[name]
         assert check.hard and check.passed
         assert check.detail == f"worst margin {worst:.2e}"
-        # a margin below -ENV_TOL fails the line
+        # any negative margin fails the line: the envelope is checked exactly
         solve = sm.verify.solve
 
         def broken(*args, **kwargs):
             out = solve(*args, **kwargs)
-            out.per_theta[1].standard_margin = -1e-9
+            out.per_theta[1].standard_margin = -1e-15
             return out
         monkeypatch.setattr(sm.verify, "solve", broken)
         check = {r.name: r for r in sm.verify.solver_checks(f, C, run)}[name]
-        assert not check.passed and check.detail == "worst margin -1.00e-09"
+        assert not check.passed and check.detail == "worst margin -1.00e-15"
 
     @pytest.mark.parametrize("mode", ["closed", "mc"])
     def test_fallback_box_check_catches_a_halved_fallback(self, monkeypatch, mode):
