@@ -12,8 +12,9 @@ F is linear in x_i.  Closed mode takes the partials, one
 (and so explicit tables) evaluates the four extension rows.  Both corners
 move toward each other in proportion to the clipped gains a'_i = max(a_i, 0),
 b'_i = max(b_i, 0).  When both clipped gains vanish the coordinate can be
-pinned anywhere; we pin it to the current upper value.  The returned point x
-satisfies
+pinned anywhere; we pin it to the current upper value.  A coordinate whose
+interval is one point (u_i = v_i) is not scored: a_i = b_i = 0 and it stays
+where it is.  The returned point x satisfies
 
     F(x) >= 1/2 F(box optimum) + 1/4 F(u) + 1/4 F(v).
 
@@ -75,7 +76,9 @@ def double_greedy_box_run(inst: BoxInstance) -> BoxRun:
     closed = cfg.mode == "closed"
     for i in range(n):
         width = hi[i] - lo[i]
-        if closed:
+        if width == 0.0:
+            pass  # a one-point coordinate is not scored: a_i = b_i = 0
+        elif closed:
             d_lo, d_hi = f.closed_form_partial(i, np.stack([lo, hi]))
             a[i] = width * d_lo
             b[i] = -width * d_hi

@@ -11,6 +11,7 @@ import json
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -33,8 +34,43 @@ N_LIMIT = 4096
 CSV_HEADER = "instance,n,constraint,alpha,delta,theta_best,best_value,opt_value,ratio"
 
 
+# compact and C-backed: CPython's json runs its C encoder only without indent
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+_NUMBERS = frozenset((int, float))
+
+
 def canonical_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, byte for byte,
+    for documents whose keys are strings.  That call encodes every number in
+    Python; here each list of numbers, and each list of non-empty number
+    lists, is encoded once by the C encoder and re-indented."""
+    return _indented(doc, "\n") + "\n"
+
+
+def _indented(o, pad: str) -> str:
+    """o as indented JSON; pad is a newline and the indent of o's line."""
+    inner = pad + "  "
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = (f"{inner}{encode_basestring_ascii(k)}: {_indented(o[k], inner)}"
+                 for k in sorted(o))
+        return "{" + ",".join(items) + pad + "}"
+    if not isinstance(o, (list, tuple)):
+        return _COMPACT.encode(o)
+    if not o:
+        return "[]"
+    if _NUMBERS.issuperset(map(type, o)):
+        body = _COMPACT.encode(o)[1:-1].replace(",", "," + inner)
+    elif all(type(r) is list and r and _NUMBERS.issuperset(map(type, r)) for r in o):
+        # re-indent the inner lists' commas, then the "],[" between them
+        deep = inner + "  "
+        body = _COMPACT.encode(o)[2:-2].replace(",", "," + deep).replace(
+            "]," + deep + "[", inner + "]," + inner + "[" + deep)
+        body = "[" + deep + body + inner + "]"
+    else:
+        body = ("," + inner).join(_indented(x, inner) for x in o)
+    return "[" + inner + body + pad + "]"
 
 
 @contextmanager
@@ -159,7 +195,7 @@ def _gen_cut_desc(rng, n) -> dict:
         if pairs.size:
             break
     weights = 1.0 - rng.random(pairs.shape[0])  # Uniform(0, 1]
-    arcs = [[int(a), int(b), float(w)] for (a, b), w in zip(pairs, weights)]
+    arcs = [[a, b, w] for (a, b), w in zip(pairs.tolist(), weights.tolist())]
     return {"kind": "directed-cut", "arcs": arcs}
 
 

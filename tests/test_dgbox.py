@@ -228,3 +228,66 @@ class TestScoringPath:
             assert run.a.tolist() == a.tolist()
             assert run.b.tolist() == b.tolist()
             assert run.point.v.tolist() == point.tolist()
+
+
+def partials_run(f, u, v):
+    """The closed-mode double greedy scoring every coordinate, one-point
+    intervals included: a_i = w dF/dx_i(lo), b_i = -w dF/dx_i(hi)."""
+    lo, hi = u.v.copy(), v.v.copy()
+    for i in range(f.n):
+        width = hi[i] - lo[i]
+        d_lo, d_hi = f.closed_form_partial(i, np.stack([lo, hi]))
+        ap, bp = max(width * d_lo, 0.0), max(-width * d_hi, 0.0)
+        if ap + bp > 0.0:
+            lo[i] += (ap / (ap + bp)) * width
+            hi[i] = lo[i]
+        else:
+            lo[i] = hi[i]
+    return lo
+
+
+class TestOnePointCoordinates:
+    """A coordinate with u_i = v_i is not scored: a_i = b_i = 0, it keeps its
+    value, and the point is the one scoring it would give."""
+
+    @staticmethod
+    def pinched_box(rng, n):
+        u, v = random_box(rng, n)
+        flat = rng.random(n) < 0.5
+        flat[0] = True
+        hi = np.where(flat, u.v, v.v)
+        hi[flat & (rng.random(n) < 0.3)] = 1.0
+        lo = np.where(flat, hi, u.v)
+        return Point(lo), Point(hi), np.flatnonzero(~flat)
+
+    def test_closed_mode_scores_only_open_coordinates(self, monkeypatch):
+        rng = np.random.default_rng(75)
+        for f in (random_cut(rng, 12), random_coverage(rng, 12)):
+            u, v, open_coords = self.pinched_box(rng, 12)
+            expected = partials_run(f, u, v)
+            scored = []
+            partial = f.closed_form_partial
+            monkeypatch.setattr(f, "closed_form_partial",
+                                lambda i, X: scored.append(i) or partial(i, X))
+            run = sm.double_greedy_box_run(BoxInstance(f, u, v, CLOSED))
+            assert scored == open_coords.tolist()
+            assert run.point.v.tobytes() == expected.tobytes()
+            flat = np.setdiff1d(np.arange(12), open_coords)
+            assert run.a[flat].tolist() == run.b[flat].tolist() == [0.0] * flat.size
+            assert run.point.v[flat].tobytes() == u.v[flat].tobytes()
+
+    def test_exact_mode_evaluates_no_rows_for_them(self, monkeypatch):
+        rng = np.random.default_rng(76)
+        for n in (3, 6, 9):
+            f = random_table_function(rng, n)
+            u, v, open_coords = self.pinched_box(rng, n)
+            a, b, point = four_row_run(f, u, v, EXACT)
+            rows = []
+            batch = sm.dgbox.multilinear_batch
+            monkeypatch.setattr(sm.dgbox, "multilinear_batch",
+                                lambda f, X, cfg: rows.append(len(X)) or batch(f, X, cfg))
+            run = sm.double_greedy_box_run(BoxInstance(f, u, v, EXACT))
+            monkeypatch.undo()
+            assert sum(rows) == 4 * open_coords.size
+            assert run.point.v.tobytes() == point.tobytes()
+            assert run.a.tolist() == a.tolist() and run.b.tolist() == b.tolist()

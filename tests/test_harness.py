@@ -1,5 +1,6 @@
 """Instance documents, seeded generation, result records, and the CLI."""
 
+import hashlib
 import json
 import time
 import tracemalloc
@@ -13,7 +14,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import submax as sm
 from submax import InstanceFormatError
 from submax.cli import _run_config, build_parser, main, parse_theta_grid
-from submax.instances import CSV_HEADER
+from submax.instances import (CONSTRAINT_KINDS, CSV_HEADER, FUNCTION_KINDS,
+                               TABLE_GEN_LIMIT, canonical_json)
 
 
 def is_monotone(f) -> bool:
@@ -78,6 +80,47 @@ class TestGeneration:
         with pytest.raises(InstanceFormatError):
             sm.gen("mystery", 6, "cardinality", 0)
 
+    # sha256 of gen(kind, n, body, 0).to_json(): generation is
+    # byte-deterministic per seed, across rewrites of the generator and writer
+    PINNED_SHA256 = {
+        ("directed-cut", "cardinality", 6):
+            "9676c6903376771a8e616fc03bab2acaf64091eab945e303986013b07a3159a2",
+        ("directed-cut", "partition-matroid", 6):
+            "9e7f75ee8d9dc35be555f19cfa113bc0730384c72dff8ed1b809ee9decc43388",
+        ("directed-cut", "knapsack", 6):
+            "4a07546484cfbb9a95b1f8a4430ed2c6170cc96aa621b4dd13f9a2f8f2115f98",
+        ("coverage", "cardinality", 6):
+            "0a0b8f89d644c3e849de1a01afe28356c5ecab8f56b83dd429c79092483f88cc",
+        ("coverage", "partition-matroid", 6):
+            "41f7981c11d0810caa8798b3e742b8718cfd32cc931e3b27e687daaa394a730e",
+        ("coverage", "knapsack", 6):
+            "b0eb25b1447149ef86d0b9113ee2c8a96255e5243e9d140f4c2eae92fe8f5f71",
+        ("explicit-table", "cardinality", 6):
+            "6e5ffd01aa9e54c7e17ce899a5f117cba886cef4de6747a1129b098324fbe7f2",
+        ("explicit-table", "partition-matroid", 6):
+            "8a57b08573b43497142adecdbf23de411fa7041551a636d8a24e21fcf748aa9e",
+        ("explicit-table", "knapsack", 6):
+            "32b8a6169923027d2750c3837fdda77501b4934f8c1eae9fa92fbd419ac01e99",
+        ("directed-cut", "cardinality", 100):
+            "9ca5936b632577ab2f92daf4747e8dbbd9cfbae594716bde474e4573a01a43e6",
+        ("directed-cut", "partition-matroid", 100):
+            "b5488744798ed9f6d1199accf4095d3a6662ee78fe7de1d1ce59121761caad15",
+        ("directed-cut", "knapsack", 100):
+            "ca4488e0e11bd69855fb4b8577561700effeffcad8ad6967cbbc3c62770ba8f0",
+        ("coverage", "cardinality", 100):
+            "7110f5c49317276e386a5a933f199f508058cbe4fae843c1b5caf87339d3532b",
+        ("coverage", "partition-matroid", 100):
+            "3a22b3a715c41d18b7838ff61fedae153fa1758c01e50313769eb9d835027363",
+        ("coverage", "knapsack", 100):
+            "05e0a4538a8a95ed0c5771a545bd6fc3bef1e992794a55b7c09c106608575f40",
+    }
+
+    @pytest.mark.parametrize("kind,constraint,n", sorted(PINNED_SHA256))
+    def test_generated_bytes_pinned(self, kind, constraint, n):
+        text = sm.gen(kind, n, constraint, 0).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() \
+            == self.PINNED_SHA256[kind, constraint, n]
+
 
 class TestSerialization:
     def test_round_trip_byte_identical(self):
@@ -128,6 +171,66 @@ class TestSerialization:
         inst = sm.parse_instance(json.dumps(doc))
         with pytest.raises(InstanceFormatError, match="budget"):
             inst.build_constraint()
+
+
+_NUMBER = (st.integers(-2**70, 2**70) | st.floats()
+           | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0,
+                              1e-300, 5e-324, 2**63, 2**64 + 1, -2**63 - 1]))
+_TEXT = st.text(max_size=6) | st.sampled_from(
+    [", ", "], [", "],\n  [", '"', '\\"q\\"', "naïve ✓", "\u2028", "[1,2]", ""])
+_LEAVES = (st.none() | st.booleans() | _NUMBER | _TEXT
+           | st.lists(_NUMBER, max_size=5)
+           | st.lists(_NUMBER | st.booleans(), max_size=5)
+           | st.lists(st.lists(_NUMBER, min_size=1, max_size=4), max_size=4)
+           | st.lists(st.lists(_NUMBER, max_size=3), max_size=4))
+_TREES = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=12)
+
+
+def dumps_reference(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+class TestCanonicalWriter:
+    """canonical_json writes the bytes of json.dumps(doc, sort_keys=True,
+    indent=2) plus a newline."""
+
+    @given(doc=_TREES)
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_matches_json_dumps_on_trees(self, doc):
+        assert canonical_json(doc) == dumps_reference(doc)
+
+    @pytest.mark.parametrize("doc", [
+        [], {}, [[]], [[], [1]], [[1], []], [[1.5, 2], [3]], [1, True, 2.0],
+        [[1, False]], [[float("nan"), float("-inf")], [-0.0]], {"a": [[]]},
+        [2**64 + 1, -0.0, 1e-300], "], [", None, 7, [["", 1]],
+        {"z": 1, "a": {"m": [[1, 2], [3, 4]], "b": []}}])
+    def test_matches_json_dumps_on_edge_cases(self, doc):
+        assert canonical_json(doc) == dumps_reference(doc)
+
+    @pytest.mark.parametrize("constraint", CONSTRAINT_KINDS)
+    @pytest.mark.parametrize("kind", FUNCTION_KINDS)
+    def test_matches_json_dumps_on_generated_documents(self, kind, constraint):
+        for n in (2, 6, 50, 100):
+            if kind == "explicit-table" and n > TABLE_GEN_LIMIT:
+                continue
+            inst = sm.gen(kind, n, constraint, n)
+            doc = {"schema_version": inst.schema_version, "n": inst.n,
+                   "function": inst.function, "constraint": inst.constraint,
+                   "metadata": inst.metadata}
+            assert inst.to_json() == dumps_reference(doc)
+
+    def test_matches_json_dumps_on_a_result_record(self):
+        inst = sm.gen("coverage", 6, "knapsack", 8)
+        rec = sm.run_instance(inst, sm.RunConfig(delta=0.05, theta_grid=(0.0, 0.2)))
+        assert rec.to_json() == dumps_reference(rec.__dict__)
+
+    def test_non_string_keys_rejected(self):
+        with pytest.raises(TypeError):
+            canonical_json({1: 2})
 
 
 class TestRunRecords:
