@@ -10,8 +10,9 @@ c in C, ||c||_inf <= alpha  exactly, by a fractional-knapsack greedy per row.
 ``contains_mask_batch`` tests integer sets for the brute-force oracle.  The
 oracle and the membership test also take an (R, n) batch of rows, the
 oracle with one cap per row, and answer each row as a one-row call does:
-one sort ranks the entries of every row, the greedy walks each row in turn
-collecting its fills, and one assignment stores every fill of the batch;
+one sort ranks the entries of every row, the greedy's fills come from the
+running differences of each packing row's budget, taken over the whole
+batch at once, and one gather puts every fill back at its coordinate;
 membership adds each packing row's terms row by row.
 
 Tie-breaking in every greedy sort is lowest index first, and nonpositive
@@ -67,19 +68,29 @@ class Polytope:
 
         ``w`` is one weight vector, answered with a Point, or an (R, n)
         batch, answered with an (R, n) array whose row r maximizes row r of
-        w under ``cap``, or under ``cap[r]`` when a sequence of one cap per
-        row is given.  Each row's answer does not depend on the others.
+        w under ``cap``, or under ``cap[r]`` when a sequence of one
+        CapParam per row is given.  Each row's answer does not depend on
+        the others; an empty (0, n) batch gets an empty answer.
         """
         wv = as_array(w)
         W = np.atleast_2d(wv)
         if wv.ndim > 2 or W.shape[1] != self.n:
             raise ValueError(f"weight vector has {W.shape[-1]} coordinates, expected {self.n}")
+        if isinstance(cap, CapParam):
+            alpha = np.full(len(W), cap.alpha, dtype=float)
+        else:
+            try:
+                alpha = np.array([cp.alpha for cp in cap], dtype=float)
+            except (AttributeError, TypeError):
+                raise TypeError("cap must be a CapParam or a sequence of one CapParam "
+                                f"per weight row, got {cap!r}") from None
+            if alpha.size != len(W):
+                raise ValueError(f"{alpha.size} caps for {len(W)} weight rows")
+        if not len(W):
+            return np.zeros((0, self.n))
         if not np.abs(W).max() < np.inf:
             raise ValueError("weights must be finite")
-        caps = [cap] * len(W) if isinstance(cap, CapParam) else list(cap)
-        if len(caps) != len(W):
-            raise ValueError(f"{len(caps)} caps for {len(W)} weight rows")
-        c = self._greedy_fill(W, np.array([cp.alpha for cp in caps]))
+        c = self._greedy_fill(W, alpha)
         return Point.trusted(c[0]) if wv.ndim == 1 else c
 
     @cached_property
@@ -96,41 +107,92 @@ class Polytope:
                 row + _ROW_SPAN // 2 + ec, row + (_ROW_SPAN - 1),
                 list(zip([0] + stops[:-1], stops, budgets)))
 
+    @cached_property
+    def _grid(self):
+        # the layout with every packing row padded by dummy entries (weight
+        # 0, cost 1) at its end to one length g, so that the sorted entries
+        # of a batch form one (R, rows, g) array: each entry's coordinate,
+        # cost, negated cost mantissa, sort-key origin and nonpositive key,
+        # the dummies, each coordinate's entry (a dummy for a coordinate in
+        # no row, which the greedy never fills), and the budgets
+        idx, cost, neg_mc, origin, end, segments = self._layout
+        g = max(stop - start for start, stop, _ in segments) + int(idx.size < self.n)
+        src = np.full((len(segments), g), idx.size)
+        for b, (start, stop, _) in enumerate(segments):
+            src[b, :stop - start] = np.arange(start, stop)
+        src = src.ravel()
+        dummies = np.flatnonzero(src == idx.size)
+        entry = np.full(self.n, dummies[0] if dummies.size else 0)
+        entry[idx[src[src < idx.size]]] = np.flatnonzero(src < idx.size)
+        return (np.append(idx, 0)[src], np.append(cost, 1.0)[src],
+                np.append(neg_mc, -0.5)[src], np.append(origin, 0)[src],
+                np.repeat(end[[start for start, _, _ in segments]], g), dummies, entry,
+                np.array([budget for *_, budget in segments]))
+
     def _greedy_fill(self, W: np.ndarray, alpha: np.ndarray) -> np.ndarray:
         # The capped fractional-knapsack greedy on every packing row of every
-        # batch row r: walk the entries by w/cost descending, filling
+        # batch row r: take the entries by w/cost descending, filling
         # min(alpha_r, remaining/cost) until the budget or the positive
         # weights run out.  One stable sort per batch row ranks every packing
         # row at once: by row, positive weights first, then w/cost
         # descending, ties to the lower index.  The ratio is ranked by its
         # exact exponent and its correctly rounded mantissa (negated, so
         # ascending), so none overflows or underflows, and normal-range
-        # ratios rank as their float quotients do.  The walk collects each
-        # fill with its batch row and coordinate in flat lists, and one
-        # fancy-indexed assignment stores them all at the end.
-        idx, cost, neg_mc, origin, end, segments = self._layout
+        # ratios rank as their float quotients do.  No Python loop walks the
+        # entries: every packing row of the batch is one row of an
+        # (R, rows, g) array of places in that order.
+        idx, cost, neg_mc, origin, end, dummies, entry, budgets = self._grid
+        R, (S, g) = W.shape[0], (budgets.size, idx.size // budgets.size)
         wr = W[:, idx]
+        wr[:, dummies] = 0.0
         mw, ew = np.frexp(wr)
         m, e = np.frexp(mw / neg_mc)
         order = np.lexsort((m, np.where(wr > 0, origin - ew - e, end)), axis=1)
-        rows, cols, fills = [], [], []
-        for r, a, ws, cs, ds in zip(range(len(W)), alpha.tolist(),
-                                    np.take_along_axis(wr, order, axis=1).tolist(),
-                                    cost[order].tolist(), idx[order].tolist()):
-            for start, stop, remaining in segments:
-                for wi, ci, i in zip(ws[start:stop], cs[start:stop], ds[start:stop]):
-                    if remaining <= 0 or wi <= 0:
-                        break
-                    fill = remaining / ci
-                    if not fill < a:  # min(a, remaining / ci)
-                        fill = a
-                    rows.append(r)
-                    cols.append(i)
-                    fills.append(fill)
-                    remaining -= fill * ci
-        out = np.zeros_like(W)
-        out[rows, cols] = fills
-        return out
+        order += np.arange(0, R * S * g, S * g)[:, None]  # places in the flat batch
+        w = wr.take(order).reshape(R, S, g)
+        c = cost.take(order, mode="wrap").reshape(R, S, g)
+        a, pos = alpha[:, None, None], w > 0
+        fills = np.zeros((R, S, g))
+        rem = np.empty((R, S, g + 1))
+        upto = np.empty((R, S, g + 1), dtype=bool)
+        with np.errstate(over="ignore"):
+            # the budget left before each place while every fill is alpha_r,
+            # as the greedy computes it: each running difference subtracts
+            # in the greedy's own order
+            rem[:, :, 0] = budgets
+            np.multiply(a, c, out=rem[:, :, 1:])
+            np.subtract.accumulate(rem, axis=2, out=rem)
+            left = rem[:, :, :-1]
+            ratio = left / c
+            # upto[..., t] holds where places 0..t-1 all fill at the cap, so
+            # places up to the first below the cap take min(alpha_r, what
+            # is left over its cost) while some is left
+            upto[:, :, 0] = True
+            np.logical_and(pos, ratio >= a, out=upto[:, :, 1:])
+            np.logical_and.accumulate(upto, axis=2, out=upto)
+            take = upto[:, :, :-1] & pos & (left > 0)
+            np.minimum(ratio, a, out=fills, where=take)
+            # a positive leftover from the rounding of the partial fill
+            # carries on to the next place of its packing row
+            part = take ^ upto[:, :, 1:]
+            part &= left > fills * c
+            if part.any():
+                # the greedy itself, one place at a time over the packing
+                # rows that carry, at flat places q up to their row's end
+                q = np.flatnonzero(part)
+                flat_c, flat_pos, flat_fills = c.ravel(), pos.ravel(), fills.ravel()
+                left = rem.reshape(-1, g + 1)[q // g, q % g] - flat_fills[q] * flat_c[q]
+                q, stop, aq = q + 1, (q // g + 1) * g, alpha[q // (S * g)]
+                while q.size:
+                    go = (left > 0) & (q < stop) & flat_pos.take(q, mode="clip")
+                    q, stop, left, aq = q[go], stop[go], left[go], aq[go]
+                    cq = flat_c[q]
+                    flat_fills[q] = fill = np.minimum(left / cq, aq)
+                    left = left - fill * cq
+                    q = q + 1
+        unsorted = np.empty((R, S * g))
+        unsorted.ravel()[order] = fills.reshape(R, -1)
+        return unsorted.take(entry, axis=1)
 
     def contains_mask_batch(self, masks: np.ndarray) -> np.ndarray:
         raise NotImplementedError

@@ -46,7 +46,6 @@ EXACT_ENUM_LIMIT = 25   # 2^n subset weights; the desk-scale ceiling
 SUBMOD_CHECK_LIMIT = 12  # exhaustive submodularity check on explicit tables
 SUBMOD_SAMPLES = 1 << 16  # seeded (S, i, j) samples checked above that size
 MC_DRAW_LIMIT = 1 << 27  # float64 uniforms in one mc draw: 1 GiB
-_GRAD_BLOCK = 1 << 14    # (rows x n x m) entries per coverage gradient chunk
 
 SubsetLike = Union[int, Iterable[int]]
 
@@ -368,7 +367,15 @@ class DirectedCut(SetFunction):
 
 class Coverage(SetFunction):
     """Weighted coverage: element i covers a fixed item set, and
-    f(S) = total weight of items covered by S.  Monotone submodular."""
+    f(S) = total weight of items covered by S.  Monotone submodular.
+
+    The closed forms read the owner table: column j lists item j's covering
+    elements in ascending order, padded with n, which points at a constant
+    factor 1.0.  A survival product prod_{i covers j} (1 - x_i) is taken
+    down column j, one owner slot at a time over every row of the batch.
+    Multiplying by 1.0 is exact, so each product rounds as the same product
+    taken down the (n, m) incidence matrix does.  ``value_batch`` reads the
+    incidence matrix, so it stays an independent check."""
 
     kind = "coverage"
     has_closed_form = True
@@ -386,6 +393,36 @@ class Coverage(SetFunction):
         self.incidence = np.zeros((self.n, m), dtype=bool)
         self.incidence[owners, items] = True
 
+    @cached_property
+    def owners(self) -> np.ndarray:
+        # built on first closed-form use, as a cut's W is: the (d, m) owner
+        # table, d the largest item degree; row t of column j is item j's
+        # t-th covering element, or n past its last
+        items, elements = np.nonzero(self.incidence.T)
+        m = self.incidence.shape[1]
+        degree = np.bincount(items, minlength=m)
+        table = np.full((degree.max(initial=0), m), self.n)
+        table[np.arange(items.size) - (np.cumsum(degree) - degree)[items], items] = elements
+        return table
+
+    @cached_property
+    def _grad_gather(self) -> np.ndarray:
+        # for each (element, item) place of the (n, m) layout, its slot in
+        # the flat (d, m) leave-one-out table, or the slot past the table's
+        # end (a 0.0) where the element does not cover the item
+        d, m = self.owners.shape
+        slots = np.full((self.n + 1, m), d * m)
+        slots[self.owners, np.arange(m)] = np.arange(d * m).reshape(d, m)
+        return slots[:-1]
+
+    def _misses(self, X: np.ndarray) -> np.ndarray:
+        # element-major: row i holds the factors 1 - x_i of every batch row,
+        # and row n the constant 1.0, so each owner slot gathers whole rows
+        miss = np.empty((self.n + 1, X.shape[0]))
+        np.subtract(1.0, X.T, out=miss[:-1])
+        miss[-1] = 1.0
+        return miss
+
     def value_batch(self, masks: np.ndarray) -> np.ndarray:
         _check_masks(masks, self.n)
         bits = _mask_bits(masks, self.n)
@@ -393,45 +430,52 @@ class Coverage(SetFunction):
         return covered @ self.item_weights
 
     def closed_form_batch(self, X: np.ndarray) -> np.ndarray:
-        # F(x) = sum_j w_j * (1 - prod_{i covers j} (1 - x_i))
-        m = self.item_weights.size
-        out = np.empty(X.shape[0], dtype=float)
-        rows = max(1, (1 << 21) // max(1, self.n * m))
+        # F(x) = sum_j w_j * (1 - prod_{i covers j} (1 - x_i)).  A row's
+        # value depends on its place in the block of the final matrix-vector
+        # product, so the rows go in blocks of 2^21 / (n m), which also
+        # bounds each block's (d, m, rows) factors.
+        miss = self._misses(X)
+        out = np.empty(X.shape[0])
+        rows = max(1, (1 << 21) // max(1, self.incidence.size))
         for lo in range(0, X.shape[0], rows):
-            miss = 1.0 - X[lo:lo + rows]
-            surv = np.prod(np.where(self.incidence[None, :, :],
-                                    miss[:, :, None], 1.0), axis=1)
-            out[lo:lo + rows] = (1.0 - surv) @ self.item_weights
+            surv = np.prod(np.take(miss[:, lo:lo + rows], self.owners, axis=0), axis=0)
+            out[lo:lo + rows] = np.subtract(1.0, surv.T, order="C") @ self.item_weights
         return out
 
     def closed_form_grad(self, x: np.ndarray) -> np.ndarray:
         # dF/dx_i = sum_{j covered by i} w_j prod_{k covers j, k != i} (1 - x_k).
         # The leave-one-out products come from exclusive prefix and suffix
-        # products down the elements, not from dividing the full product, so
-        # they stay exact when some x_k = 1.  Rows go in chunks of
-        # (rows, n, m) blocks that stay cache-sized.
+        # products down each owner column, not from dividing the full
+        # product, so they stay exact when some x_k = 1: one multiply per
+        # slot over an (m, R) slab of the batch.  They are gathered into the
+        # C-contiguous (R, n, m) layout, zero where i does not cover j, and
+        # one stacked vector product per row sums each row as the one point
+        # does.
         X = np.atleast_2d(x)
-        G = np.empty(X.shape)
-        rows = max(1, _GRAD_BLOCK // max(1, self.incidence.size))
-        for lo in range(0, len(X), rows):
-            miss = np.where(self.incidence, 1.0 - X[lo:lo + rows, :, None], 1.0)
-            loo = np.empty_like(miss)
-            loo[:, 0] = 1.0
-            np.cumprod(miss[:, :-1], axis=1, out=loo[:, 1:])
-            loo[:, :-1] *= np.cumprod(miss[:, :0:-1], axis=1)[:, ::-1]
-            loo *= self.incidence
-            G[lo:lo + rows] = loo @ self.item_weights
+        d, m = self.owners.shape
+        miss = np.take(self._misses(X), self.owners, axis=0)
+        loo = np.empty((d * m + 1, X.shape[0]))
+        loo[-1] = 0.0
+        prefix = loo[:-1].reshape(d, m, X.shape[0])
+        if d:
+            prefix[0] = 1.0
+            for t in range(1, d):
+                np.multiply(prefix[t - 1], miss[t - 1], out=prefix[t])
+            suffix = miss[d - 1].copy()
+            for t in range(d - 2, -1, -1):
+                prefix[t] *= suffix
+                suffix *= miss[t]
+        G = np.take(loo.T.copy(), self._grad_gather, axis=1) @ self.item_weights
         return G.reshape(np.shape(x))
 
     def closed_form_partial(self, i, X):
         # the same sum over i's items only, each survival product taken down
-        # the item's incidence column with x_i's factor set to 1 (no division)
+        # the item's owner column with x_i's factor set to 1 (no division)
         items = np.flatnonzero(self.incidence[i])
-        miss = 1.0 - X
-        miss[:, i] = 1.0
-        surv = np.prod(np.where(self.incidence[:, items], miss[:, :, None], 1.0),
-                       axis=1)
-        return surv @ self.item_weights[items]
+        owners = self.owners[:, items]
+        owners[owners == i] = self.n
+        surv = np.prod(np.take(self._misses(X), owners, axis=0), axis=0)
+        return np.ascontiguousarray(surv.T) @ self.item_weights[items]
 
 
 # ---------------------------------------------------------------------------
@@ -443,11 +487,21 @@ def default_config(f: SetFunction) -> EstimatorConfig:
     return EstimatorConfig(mode="closed" if f.has_closed_form else "exact")
 
 
+def _points(f: SetFunction, x) -> np.ndarray:
+    """x as a float array, checked to be one point of f's n coordinates or
+    an (R, n) batch of them."""
+    xv = as_array(x)
+    if xv.ndim > 2 or np.atleast_2d(xv).shape[1] != f.n:
+        raise ValueError(f"expected a point of {f.n} coordinates or an (R, {f.n}) "
+                         f"batch, got shape {xv.shape}")
+    return xv
+
+
 def multilinear_batch(f: SetFunction, X: np.ndarray, cfg: EstimatorConfig) -> np.ndarray:
     """Evaluate F at every row of X in any mode: the family's polynomial
     (closed), the contracted value table (exact), or the mean of f over
     sampled sets (mc).  The mc rows of one call share one draw."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = np.atleast_2d(_points(f, X))
     if cfg.mode == "closed":
         return f.closed_form_batch(X)
     if cfg.mode == "mc":
@@ -507,7 +561,7 @@ def one_coordinate_gradient(f: SetFunction, x, cfg: EstimatorConfig) -> np.ndarr
     point in one batch.  This is the gradient in exact and mc modes; in
     closed mode it is the reference the analytic gradients are checked
     against."""
-    xv = as_array(x)
+    xv = _points(f, x)
     n = f.n
     X = np.repeat(np.atleast_2d(xv)[:, None, :], 2 * n, axis=1)
     X[:, np.arange(n), np.arange(n)] = 1.0
@@ -524,7 +578,7 @@ def gradient(f: SetFunction, x, cfg: EstimatorConfig | None = None) -> np.ndarra
     if cfg is None:
         cfg = default_config(f)
     if cfg.mode == "closed":
-        return f.closed_form_grad(as_array(x))
+        return f.closed_form_grad(_points(f, x))
     return one_coordinate_gradient(f, x, cfg)
 
 

@@ -99,3 +99,42 @@ def reference_greedy_fill(C, W, alpha):
                 row[i] = fill = min(a, remaining / ci)
                 remaining -= fill * ci
     return out
+
+
+def reference_coverage_grad(f, x):
+    """The coverage gradient as dense (rows, n, m) blocks down the incidence
+    matrix, in chunks of rows: the path ``Coverage.closed_form_grad`` must
+    match byte for byte."""
+    X = np.atleast_2d(x)
+    G = np.empty(X.shape)
+    rows = max(1, (1 << 14) // max(1, f.incidence.size))
+    for lo in range(0, len(X), rows):
+        miss = np.where(f.incidence, 1.0 - X[lo:lo + rows, :, None], 1.0)
+        loo = np.empty_like(miss)
+        loo[:, 0] = 1.0
+        np.cumprod(miss[:, :-1], axis=1, out=loo[:, 1:])
+        loo[:, :-1] *= np.cumprod(miss[:, :0:-1], axis=1)[:, ::-1]
+        loo *= f.incidence
+        G[lo:lo + rows] = loo @ f.item_weights
+    return G.reshape(np.shape(x))
+
+
+def reference_coverage_partial(f, i, X):
+    """dF/dx_i of coverage down the dense incidence columns of i's items."""
+    items = np.flatnonzero(f.incidence[i])
+    miss = 1.0 - X
+    miss[:, i] = 1.0
+    surv = np.prod(np.where(f.incidence[:, items], miss[:, :, None], 1.0), axis=1)
+    return surv @ f.item_weights[items]
+
+
+def reference_coverage_batch(f, X):
+    """The coverage extension at every row of X, each survival product taken
+    down the dense incidence matrix, in chunks of rows."""
+    out = np.empty(X.shape[0], dtype=float)
+    rows = max(1, (1 << 21) // max(1, f.incidence.size))
+    for lo in range(0, X.shape[0], rows):
+        miss = 1.0 - X[lo:lo + rows]
+        surv = np.prod(np.where(f.incidence[None, :, :], miss[:, :, None], 1.0), axis=1)
+        out[lo:lo + rows] = (1.0 - surv) @ f.item_weights
+    return out

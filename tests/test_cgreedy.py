@@ -12,7 +12,9 @@ from submax import (CapParam, ConfigError, EstimatorConfig, InvariantError,
 from submax.cli import main
 
 from helpers import (random_constraint, random_coverage, random_cut,
-                     random_function, random_table_function)
+                     random_function, random_table_function,
+                     reference_coverage_batch, reference_coverage_grad,
+                     reference_coverage_partial, reference_greedy_fill)
 
 
 @pytest.fixture
@@ -602,3 +604,36 @@ class TestInvariantError:
                      "--theta-grid", "0,0.5", "--no-opt"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "theta" in err and "step" in err
+
+
+def _report_bytes(report):
+    """Every field of a SolveReport, points and floats by their bytes."""
+    def raw(v):
+        if isinstance(v, Point):
+            return v.v.tobytes()
+        return np.float64(v).tobytes() if isinstance(v, (float, np.floating)) else repr(v)
+
+    def fields(obj):
+        return [raw(getattr(obj, fld.name)) for fld in dataclasses.fields(obj)]
+    return (raw(report.best), raw(report.best_value), repr(report.best_theta),
+            report.best_branch, [fields(r) for r in report.per_theta],
+            [fields(d) for d in report.diagnostics])
+
+
+@pytest.mark.parametrize("body", ["cardinality", "partition-matroid", "knapsack"])
+def test_batch_kernels_solve_as_the_reference_kernels(body, monkeypatch):
+    # a desk solve with the coverage owner table and the vectorised oracle
+    # fill, and again with the dense coverage kernels and the per-row walk
+    # they replace: every result field and diagnostic is the same, byte for
+    # byte
+    inst = sm.gen("coverage", 12, body, 5)
+    f, C = inst.build()
+    _, opt = sm.brute_force_opt(f, C)
+    got = sm.solve(f, C, RunConfig(), opt)
+    assert got.diagnostics
+    monkeypatch.setattr(sm.Coverage, "closed_form_grad", reference_coverage_grad)
+    monkeypatch.setattr(sm.Coverage, "closed_form_partial", reference_coverage_partial)
+    monkeypatch.setattr(sm.Coverage, "closed_form_batch", reference_coverage_batch)
+    monkeypatch.setattr(sm.polytope.Polytope, "_greedy_fill", reference_greedy_fill)
+    f, C = inst.build()
+    assert _report_bytes(got) == _report_bytes(sm.solve(f, C, RunConfig(), opt))

@@ -136,6 +136,49 @@ class TestBatchOracle:
         with pytest.raises(ValueError, match="caps"):
             C.linear_maximize(W, [CapParam(0.5)] * 2)
 
+    @pytest.mark.parametrize("body", ["cardinality", "partition", "knapsack"])
+    def test_empty_batch_gets_an_empty_answer(self, body):
+        C = {"cardinality": sm.CardinalityPolytope(3, 1),
+             "partition": sm.PartitionMatroidPolytope(3, [[0, 2], [1]], [1, 1]),
+             "knapsack": sm.KnapsackPolytope(3, [1.0, 2.0, 0.5], 1.5)}[body]
+        for cap in (CapParam(0.5), []):
+            got = C.linear_maximize(np.zeros((0, 3)), cap)
+            assert got.shape == (0, 3) and got.dtype == float
+        assert C.contains_point(np.zeros((0, 3))).shape == (0,)
+
+    @pytest.mark.parametrize("cap", [[0.5, 1.0], 0.5, [CapParam(0.5), 1.0], None])
+    def test_caps_must_be_capparams(self, cap):
+        C = sm.CardinalityPolytope(3, 1)
+        with pytest.raises(TypeError, match="CapParam"):
+            C.linear_maximize(np.ones((2, 3)), cap)
+
+    def test_huge_budget_over_tiny_costs(self):
+        # what is left over a tiny cost overflows to inf, without a warning
+        C = sm.KnapsackPolytope(3, [1e-300, 1e300, 1e308], 1.7e308)
+        W = np.array([[3.0, 2.0, 1.0], [1.0, 1.0, 1.0], [0.0, 0.0, 5.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = C.linear_maximize(W, [CapParam(1.0), CapParam(0.5), CapParam(1.0)])
+        want = reference_greedy_fill(C, W, np.array([1.0, 0.5, 1.0]))
+        assert got.tobytes() == want.tobytes()
+
+    def test_packing_rows_of_unequal_length_and_a_free_coordinate(self):
+        # rows of 2, 1 and 3 entries, and coordinate 2 in no row, which the
+        # greedy never fills
+        class Rows(sm.polytope.Polytope):
+            def __init__(self):
+                super().__init__(7)
+                self.rows = [(np.array([1, 3]), np.array([1.0, 2.0]), 1.5),
+                             (np.array([4]), np.array([0.5]), 0.2),
+                             (np.array([0, 5, 6]), np.array([0.3, 0.7, 1.1]), 0.9)]
+        C = Rows()
+        rng = np.random.default_rng(9)
+        W = rng.normal(size=(9, 7))
+        alpha = rng.choice([0.3, 0.5, 1.0], 9)
+        got = C.linear_maximize(W, [CapParam(a) for a in alpha])
+        assert got.tobytes() == reference_greedy_fill(C, W, alpha).tobytes()
+        assert not got[:, 2].any()
+
     @pytest.mark.parametrize("n, costs, budget, w, best", [
         (3, [5e-324] * 3, 5e-324, [0.1, 0.5, 0.3], [0.0, 1.0, 0.0]),
         (2, [1e300] * 2, 1e300, [1e-30, 2e-30], [0.0, 1.0]),

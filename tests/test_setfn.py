@@ -11,7 +11,8 @@ from submax import EstimatorConfig, EstimatorError, InvalidSubsetError, Point
 from submax.setfn import one_coordinate_gradient
 
 from helpers import (brute_force_extension, random_coverage, random_cut,
-                     random_table_function)
+                     random_table_function, reference_coverage_batch,
+                     reference_coverage_grad, reference_coverage_partial)
 
 EXACT = EstimatorConfig(mode="exact")
 CLOSED = EstimatorConfig(mode="closed")
@@ -226,9 +227,7 @@ class TestBatchGradient:
         if kind == "cut":
             f, cfg = random_cut(rng, 12), CLOSED
         elif kind == "coverage":
-            # a chunk of 9 rows, so 51 rows cross five chunk boundaries
             f, cfg = random_coverage(rng, 30), CLOSED
-            assert 1 < sm.setfn._GRAD_BLOCK // f.incidence.size < 51
         else:
             f, cfg = random_table_function(rng, 8), EXACT
         X = rng.random((R, f.n))
@@ -239,6 +238,75 @@ class TestBatchGradient:
         for x, g in zip(X, G):
             assert g.tobytes() == sm.gradient(f, x, cfg).tobytes()
         assert np.array_equal(sm.residual_gradient(f, X, cfg), G * (1.0 - X))
+
+
+class TestCoverageOwnerTable:
+    """The coverage kernels read the (d, m) owner table and equal the dense
+    kernels over the (n, m) incidence matrix (tests/helpers.py) byte for
+    byte."""
+
+    def test_table_lists_each_items_owners_in_order(self):
+        f = sm.Coverage(3, [[0, 2], [], [0, 1, 2]], [1.0, 2.0, 3.0, 4.0])
+        assert f.owners.tolist() == [[0, 2, 0, 3], [2, 3, 2, 3]]
+
+    def test_batch_rows_cross_blocks(self):
+        # 2^21 / (n m) = 436 rows per block, so 1000 rows span three blocks
+        rng = np.random.default_rng(77)
+        f = random_coverage(rng, 40, 120)
+        X = rng.random((1000, 40))
+        X[rng.random(X.shape) < 0.1] = 1.0
+        assert f.closed_form_batch(X).tobytes() == reference_coverage_batch(f, X).tobytes()
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 14),
+       m=st.sampled_from([0, 1, 5, 17, 40]), R=st.sampled_from([1, 2, 7, 52]),
+       density=st.sampled_from([0.0, 0.15, 0.5, 1.0]))
+@settings(max_examples=150, deadline=None)
+def test_coverage_kernels_match_the_dense_references(seed, n, m, R, density):
+    # items nobody covers, an item every element covers, and points with
+    # exact 0.0 and 1.0 entries
+    rng = np.random.default_rng(seed)
+    inc = rng.random((n, m)) < density
+    if m:
+        inc[:, int(rng.integers(m))] = True
+        inc[:, int(rng.integers(m))] = False
+    f = sm.Coverage(n, [np.flatnonzero(row).tolist() for row in inc],
+                    (1.0 - rng.random(m)).tolist())
+    X = rng.random((R, n))
+    X[rng.random(X.shape) < 0.2] = 0.0
+    X[rng.random(X.shape) < 0.2] = 1.0
+    for x in (X, X[0]):
+        assert f.closed_form_grad(x).tobytes() == reference_coverage_grad(f, x).tobytes()
+    assert f.closed_form_batch(X).tobytes() == reference_coverage_batch(f, X).tobytes()
+    for i in range(n):
+        assert (f.closed_form_partial(i, X).tobytes()
+                == reference_coverage_partial(f, i, X).tobytes())
+
+
+class TestPointShape:
+    """The gradient and the extension take one point of n coordinates or an
+    (R, n) batch, and name n for anything else, in every mode."""
+
+    FAMILIES = {
+        "cut": (lambda: sm.DirectedCut(3, [(0, 1, 1.0), (2, 0, 0.5)]),
+                ["closed", "exact", "mc"]),
+        "coverage": (lambda: sm.Coverage(3, [[0], [0, 1], [2]], [1.0, 2.0, 0.5]),
+                     ["closed", "exact", "mc"]),
+        "table": (lambda: sm.ExplicitTable(3, [0.0, 1.0, 1.0, 1.5, 1.0, 1.5, 1.5, 1.5]),
+                  ["exact", "mc"]),
+    }
+    CASES = [(family, mode) for family, (_, modes) in FAMILIES.items() for mode in modes]
+
+    @pytest.mark.parametrize("family, mode", CASES)
+    @pytest.mark.parametrize("shape", [(4,), (2, 4), (2, 2, 3), (1, 1, 3)])
+    def test_wrong_shape_names_n(self, family, mode, shape):
+        f = self.FAMILIES[family][0]()
+        cfg = EstimatorConfig(mode=mode, sample_count=50)
+        x = np.full(shape, 0.5)
+        with pytest.raises(ValueError, match="3 coordinates"):
+            sm.gradient(f, x, cfg)
+        with pytest.raises(ValueError, match="3 coordinates"):
+            sm.multilinear_batch(f, x, cfg)
 
 
 class TestCutWeightMatrix:
