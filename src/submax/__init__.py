@@ -12,10 +12,9 @@ from .errors import (ConfigError, EstimatorError, InstanceFormatError,
                      InvalidBoxError, InvalidSubsetError, InvariantError,
                      SubmaxError)
 from .setfn import (Coverage, DirectedCut, EstimatorConfig, ExplicitTable,
-                    GroundSet, Point, SetFunction, default_config, gradient,
-                    max_singleton, multilinear, multilinear_batch,
-                    residual_gradient)
-from .polytope import (CapParam, CardinalityPolytope, KnapsackPolytope,
+                    Point, SetFunction, default_config, gradient, max_singleton,
+                    multilinear, multilinear_batch, residual_gradient)
+from .polytope import (CardinalityPolytope, KnapsackPolytope,
                        PartitionMatroidPolytope, Polytope)
 from .dgbox import (BoxInstance, BoxRun, double_greedy_box,
                     double_greedy_box_run, guarantee_floor)
@@ -32,9 +31,9 @@ from .instances import (InstanceFile, ResultRecord, desk_corpus, gen,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoxInstance", "BoxRun", "CapParam", "CardinalityPolytope", "CheckResult",
+    "BoxInstance", "BoxRun", "CardinalityPolytope", "CheckResult",
     "ConfigError", "Coverage", "DiagnosticRecord", "DirectedCut",
-    "EstimatorConfig", "EstimatorError", "ExplicitTable", "GroundSet",
+    "EstimatorConfig", "EstimatorError", "ExplicitTable",
     "InstanceFile", "InstanceFormatError", "InvalidBoxError",
     "InvalidSubsetError", "InvariantError", "KnapsackPolytope",
     "PartitionMatroidPolytope", "Point", "Polytope", "ResultRecord", "RunConfig", "SetFunction",

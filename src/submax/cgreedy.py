@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import ConfigError, InvariantError
 from .dgbox import BoxInstance, double_greedy_box
-from .polytope import CapParam, Polytope
+from .polytope import Polytope
 from .setfn import (EstimatorConfig, Point, SetFunction, default_config,
                     max_singleton, multilinear, residual_gradient)
 
@@ -160,24 +160,24 @@ def _step(C: Polytope, run: RunConfig, S: np.ndarray, V: np.ndarray,
 
 
 def _direction(f: SetFunction, C: Polytope, cfg: EstimatorConfig,
-               x: np.ndarray, cap: CapParam, j: int):
+               x: np.ndarray, alpha: float, j: int):
     """The residual gradient at the one point x at step j and the oracle
-    direction it selects under ``cap``."""
+    direction it selects under the cap ``alpha``."""
     g = residual_gradient(f, x[None], cfg.substream(j) if cfg.mode == "mc" else cfg)[0]
-    return g, C.linear_maximize(g, cap)
+    return g, C.linear_maximize(g, alpha)
 
 
 def _stage(f: SetFunction, C: Polytope, run: RunConfig, theta: float,
-           x: np.ndarray, first: int, last: int, cap: CapParam, env: float):
+           x: np.ndarray, first: int, last: int, alpha: float, env: float):
     """Steps first..last-1 of one greedy stage from the one point x, whose
     complement starts at 1 - x and its envelope at ``env``: the R = 1 case
     of the sweep.  Returns the final point and the trajectory."""
     cfg = run.resolve_cfg(f)
-    shrink = 1.0 - run.delta * cap.alpha
+    shrink = 1.0 - run.delta * alpha
     s = 1.0 - x
     traj = Trajectory()
     for j in range(first, last):
-        g, v = _direction(f, C, cfg, x, cap, j)
+        g, v = _direction(f, C, cfg, x, alpha, j)
         traj.add(j * run.delta, x, g, v)
         env *= shrink
         S, X, margin = _step(C, run, s[None], v.v[None], np.array([env]), [theta], j)
@@ -199,9 +199,9 @@ def dampened_stage(f: SetFunction, C: Polytope, run: RunConfig, theta: float):
     direction computed at the final point; the fallback branch bound needs it
     even though it is never applied as an update.
     """
-    k, cap = run.steps_of(theta), CapParam(run.alpha)
-    x, traj = _stage(f, C, run, theta, np.zeros(f.n), 0, k, cap, 1.0)
-    _, v = _direction(f, C, run.resolve_cfg(f), x, cap, k)
+    k = run.steps_of(theta)
+    x, traj = _stage(f, C, run, theta, np.zeros(f.n), 0, k, run.alpha, 1.0)
+    _, v = _direction(f, C, run.resolve_cfg(f), x, run.alpha, k)
     return Point(x), v, traj
 
 
@@ -211,7 +211,7 @@ def standard_stage(f: SetFunction, C: Polytope, run: RunConfig,
     k, env = run.steps_of(theta), 1.0
     for _ in range(k):  # stage one's envelope, as the sweep multiplies it down
         env *= 1.0 - run.delta * run.alpha
-    y, traj = _stage(f, C, run, theta, start.v, k, run.total_steps, CapParam(1.0),
+    y, traj = _stage(f, C, run, theta, start.v, k, run.total_steps, 1.0,
                      1.0 - (1.0 - env))
     return Point(y), traj
 
@@ -224,7 +224,7 @@ def dg_branch(f: SetFunction, C: Polytope, x_theta: Point,
     down-closedness."""
     if cfg is None:
         cfg = default_config(f)
-    p = C.linear_maximize(residual_gradient(f, x_theta, cfg), CapParam(1.0))
+    p = C.linear_maximize(residual_gradient(f, x_theta, cfg))
     return p, _fallback(f, cfg, p)
 
 
@@ -328,7 +328,6 @@ def solve(f: SetFunction, C: Polytope, run: RunConfig | None = None,
     T, grid = run.total_steps, run.theta_grid
     steps = [run.steps_of(t) for t in grid]
     K = steps[-1]
-    capped, uncapped = CapParam(run.alpha), CapParam(1.0)
     mc = cfg.mode == "mc"
     # the batch: stage one's complement s = 1 - x in row 0 up to step K,
     # then the stage-two complement of every theta switched so far, in grid
@@ -356,8 +355,10 @@ def solve(f: SetFunction, C: Polytope, run: RunConfig | None = None,
             # uncapped, p, their fallback and stage two's first direction,
             # so each switching theta takes a copy of row 0 with cap 1
             G = np.concatenate([G, np.repeat(G[:1], new, axis=0)])
-        lead = int(j <= K)  # row 0 is stage one's
-        D = C.linear_maximize(G, [capped] * lead + [uncapped] * (len(G) - lead))
+        caps = np.ones(len(G))
+        if j <= K:  # row 0 is stage one's
+            caps[0] = run.alpha
+        D = C.linear_maximize(G, caps)
         if new:
             v, key = Point.trusted(D[0].copy()), D[R].tobytes()
             if key not in boxes:

@@ -24,7 +24,7 @@ guarantee are exact statements and Monte Carlo noise would break them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,14 +54,26 @@ class BoxInstance:
 
 @dataclass
 class BoxRun:
-    """Full iteration record: the per-coordinate gains and both corner
-    trajectories (index 0 is the initial box)."""
+    """Full iteration record: the per-coordinate gains and the box [u, v].
+
+    Coordinate i is final after step i, so the corners after k steps are
+    the point's first k coordinates followed by the rest of u (``lowers``)
+    or of v (``uppers``); index 0 is the initial box.  They are built when
+    read: the run itself records no trace."""
 
     point: Point
     a: np.ndarray
     b: np.ndarray
-    lowers: list[np.ndarray] = field(default_factory=list)
-    uppers: list[np.ndarray] = field(default_factory=list)
+    u: np.ndarray
+    v: np.ndarray
+
+    @property
+    def lowers(self) -> list[np.ndarray]:
+        return [np.concatenate([self.point.v[:k], self.u[k:]]) for k in range(self.u.size + 1)]
+
+    @property
+    def uppers(self) -> list[np.ndarray]:
+        return [np.concatenate([self.point.v[:k], self.v[k:]]) for k in range(self.v.size + 1)]
 
 
 def double_greedy_box_run(inst: BoxInstance) -> BoxRun:
@@ -71,8 +83,6 @@ def double_greedy_box_run(inst: BoxInstance) -> BoxRun:
     hi = inst.v.v.copy()
     a = np.zeros(n)
     b = np.zeros(n)
-    lowers = [lo.copy()]
-    uppers = [hi.copy()]
     closed = cfg.mode == "closed"
     for i in range(n):
         width = hi[i] - lo[i]
@@ -99,9 +109,7 @@ def double_greedy_box_run(inst: BoxInstance) -> BoxRun:
         else:
             # both clipped gains zero: pin to the current upper value
             lo[i] = hi[i]
-        lowers.append(lo.copy())
-        uppers.append(hi.copy())
-    return BoxRun(Point(lo), a, b, lowers, uppers)
+    return BoxRun(Point(lo), a, b, inst.u.v, inst.v.v)
 
 
 def double_greedy_box(inst: BoxInstance) -> Point:

@@ -4,16 +4,19 @@ Every body C here lives in [0,1]^n, contains the origin, and is down-closed:
 y <= x in C implies y in C.  Every body is a set of disjoint packing rows
 <cost_b, x_b> <= budget_b: cardinality is one unit-cost row, a partition
 matroid one unit-cost row per block, a knapsack one row with its own costs.
-One oracle serves all three: ``linear_maximize`` solves  max <w, c>  over
-c in C, ||c||_inf <= alpha  exactly, by a fractional-knapsack greedy per row.
+One oracle serves all three: ``linear_maximize(w, alpha)`` solves
+max <w, c>  over c in C, ||c||_inf <= alpha  exactly, by a fractional-knapsack
+greedy per row; the cap alpha is a plain number in (0, 1].
 ``contains_point`` tests membership of a fractional point; each body's
 ``contains_mask_batch`` tests integer sets for the brute-force oracle.  The
 oracle and the membership test also take an (R, n) batch of rows, the
-oracle with one cap per row, and answer each row as a one-row call does:
-one sort ranks the entries of every row, the greedy's fills come from the
-running differences of each packing row's budget, taken over the whole
-batch at once, and one gather puts every fill back at its coordinate;
-membership adds each packing row's terms row by row.
+oracle with one cap for every row or one cap per row, and answer each row
+as a one-row call does.  Both read one structure per body, its packing rows
+padded to one length (``_grid``): one sort ranks the entries of every row,
+the greedy's fills come from the running differences of each packing row's
+budget, taken over the whole batch at once, and one gather puts every fill
+back at its coordinate; membership adds each packing row's terms over its
+real places only, row by row.
 
 Tie-breaking in every greedy sort is lowest index first, and nonpositive
 weights are zeroed before assigning mass: by down-closedness a coordinate
@@ -22,31 +25,17 @@ with w_i <= 0 can always be dropped without losing objective value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
-from .setfn import (GroundSet, Point, as_array, as_ground, _indices, _mask_bits,
-                    _reals)
+from .setfn import Point, _indices, _mask_bits, _points, _positive_int, _reals
 
 FEAS_TOL = 1e-9
 # The greedy's sort keys of one row lie within a span of this many: a ratio's
 # exponent lies within +-2100 of the span's middle, and the key of a
 # nonpositive weight is the span's last.
 _ROW_SPAN = 1 << 13
-
-
-@dataclass(frozen=True)
-class CapParam:
-    """The l-inf cap on oracle outputs; alpha = 1 recovers the plain oracle."""
-
-    alpha: float = 1.0
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha <= 1.0):
-            raise ValueError(f"cap alpha must lie in (0, 1], got {self.alpha}")
 
 
 class Polytope:
@@ -56,78 +45,57 @@ class Polytope:
 
     kind = "abstract"
 
-    def __init__(self, ground: GroundSet | int):
-        self.ground = as_ground(ground)
+    def __init__(self, n: int):
+        self.n = _positive_int(n, "ground set size")
 
-    @property
-    def n(self) -> int:
-        return self.ground.n
-
-    def linear_maximize(self, w, cap: CapParam | Sequence[CapParam] = CapParam(1.0)):
-        """argmax { <w, c> : c in C, ||c||_inf <= cap.alpha }, exactly.
+    def linear_maximize(self, w, alpha=1.0):
+        """argmax { <w, c> : c in C, ||c||_inf <= alpha }, exactly.
 
         ``w`` is one weight vector, answered with a Point, or an (R, n)
         batch, answered with an (R, n) array whose row r maximizes row r of
-        w under ``cap``, or under ``cap[r]`` when a sequence of one
-        CapParam per row is given.  Each row's answer does not depend on
-        the others; an empty (0, n) batch gets an empty answer.
+        w.  ``alpha`` is one cap in (0, 1] for every row, or a sequence of
+        one cap per row.  Each row's answer does not depend on the others;
+        an empty (0, n) batch gets an empty answer.
         """
-        wv = as_array(w)
+        wv = _points(self.n, w)
         W = np.atleast_2d(wv)
-        if wv.ndim > 2 or W.shape[1] != self.n:
-            raise ValueError(f"weight vector has {W.shape[-1]} coordinates, expected {self.n}")
-        if isinstance(cap, CapParam):
-            alpha = np.full(len(W), cap.alpha, dtype=float)
-        else:
-            try:
-                alpha = np.array([cp.alpha for cp in cap], dtype=float)
-            except (AttributeError, TypeError):
-                raise TypeError("cap must be a CapParam or a sequence of one CapParam "
-                                f"per weight row, got {cap!r}") from None
-            if alpha.size != len(W):
-                raise ValueError(f"{alpha.size} caps for {len(W)} weight rows")
+        caps = np.asarray(alpha)
+        # a NaN cap fails the comparisons, as one outside (0, 1] does
+        if (caps.dtype.kind not in "iuf" or caps.shape not in ((), (len(W),))
+                or caps.size and not 0 < caps.min() <= caps.max() <= 1):
+            raise ValueError("caps must be one number in (0, 1] or one per weight "
+                             f"row ({len(W)} rows), got {alpha!r}")
         if not len(W):
             return np.zeros((0, self.n))
         if not np.abs(W).max() < np.inf:
             raise ValueError("weights must be finite")
-        c = self._greedy_fill(W, alpha)
+        c = self._greedy_fill(W, np.full(len(W), caps, dtype=float))
         return Point.trusted(c[0]) if wv.ndim == 1 else c
 
     @cached_property
-    def _layout(self):
-        # the rows laid end to end: indices, costs, each cost's negated
-        # mantissa, each entry's sort-key origin and the key of a nonpositive
-        # weight (its row's end), and each row's (start, stop, budget)
-        idx, cost, budgets = zip(*self.rows)
-        sizes = [i.size for i in idx]
-        stops = np.cumsum(sizes).tolist()
-        mc, ec = np.frexp(np.concatenate(cost))
-        row = np.repeat(np.arange(len(sizes), dtype=np.int64) * _ROW_SPAN, sizes)
-        return (np.concatenate(idx), np.concatenate(cost), -mc,
-                row + _ROW_SPAN // 2 + ec, row + (_ROW_SPAN - 1),
-                list(zip([0] + stops[:-1], stops, budgets)))
-
-    @cached_property
     def _grid(self):
-        # the layout with every packing row padded by dummy entries (weight
-        # 0, cost 1) at its end to one length g, so that the sorted entries
-        # of a batch form one (R, rows, g) array: each entry's coordinate,
-        # cost, negated cost mantissa, sort-key origin and nonpositive key,
-        # the dummies, each coordinate's entry (a dummy for a coordinate in
-        # no row, which the greedy never fills), and the budgets
-        idx, cost, neg_mc, origin, end, segments = self._layout
-        g = max(stop - start for start, stop, _ in segments) + int(idx.size < self.n)
-        src = np.full((len(segments), g), idx.size)
-        for b, (start, stop, _) in enumerate(segments):
-            src[b, :stop - start] = np.arange(start, stop)
-        src = src.ravel()
-        dummies = np.flatnonzero(src == idx.size)
+        # the packing rows, each padded by dummy places (weight 0, cost 1)
+        # at its end to one length g, so that the sorted places of a batch
+        # form one (R, rows, g) array: each place's coordinate, cost, negated
+        # cost mantissa, sort-key origin and nonpositive key (its row's
+        # end); the dummy places and the real ones, and each row's start
+        # among the real places; each coordinate's place (a dummy for a
+        # coordinate in no row, which the greedy never fills); the budgets
+        idx, cost, budgets = zip(*self.rows)
+        sizes = np.array([i.size for i in idx])
+        g = sizes.max() + int(sizes.sum() < self.n)
+        real_mask = (np.arange(g) < sizes[:, None]).ravel()
+        real, dummies = np.flatnonzero(real_mask), np.flatnonzero(~real_mask)
+        coords = np.zeros(real_mask.size, dtype=np.int64)
+        coords[real] = np.concatenate(idx)
+        costs = np.ones(real_mask.size)
+        costs[real] = np.concatenate(cost)
+        mc, ec = np.frexp(costs)
+        row = np.repeat(np.arange(sizes.size, dtype=np.int64) * _ROW_SPAN, g)
         entry = np.full(self.n, dummies[0] if dummies.size else 0)
-        entry[idx[src[src < idx.size]]] = np.flatnonzero(src < idx.size)
-        return (np.append(idx, 0)[src], np.append(cost, 1.0)[src],
-                np.append(neg_mc, -0.5)[src], np.append(origin, 0)[src],
-                np.repeat(end[[start for start, _, _ in segments]], g), dummies, entry,
-                np.array([budget for *_, budget in segments]))
+        entry[coords[real]] = real
+        return (coords, costs, -mc, row + _ROW_SPAN // 2 + ec, row + (_ROW_SPAN - 1),
+                dummies, real, np.cumsum(sizes) - sizes, entry, np.array(budgets))
 
     def _greedy_fill(self, W: np.ndarray, alpha: np.ndarray) -> np.ndarray:
         # The capped fractional-knapsack greedy on every packing row of every
@@ -141,7 +109,7 @@ class Polytope:
         # ratios rank as their float quotients do.  No Python loop walks the
         # entries: every packing row of the batch is one row of an
         # (R, rows, g) array of places in that order.
-        idx, cost, neg_mc, origin, end, dummies, entry, budgets = self._grid
+        idx, cost, neg_mc, origin, end, dummies, _, _, entry, budgets = self._grid
         R, (S, g) = W.shape[0], (budgets.size, idx.size // budgets.size)
         wr = W[:, idx]
         wr[:, dummies] = 0.0
@@ -200,20 +168,19 @@ class Polytope:
     def contains_point(self, x):
         """Whether x satisfies every defining inequality within tolerance;
         for an (R, n) batch, an (R,) array of the answers row by row."""
-        xv = as_array(x)
+        xv = _points(self.n, x)
         X = np.atleast_2d(xv)
-        if xv.ndim > 2 or X.shape[1] != self.n:
-            raise ValueError(f"point has {X.shape[-1]} coordinates, expected {self.n}")
         inside = ((X.min(axis=1) >= -FEAS_TOL) & (X.max(axis=1) <= 1.0 + FEAS_TOL)
                   & self._satisfies(X))
         return inside if xv.ndim == 2 else bool(inside[0])
 
     def _satisfies(self, X: np.ndarray) -> np.ndarray:
         # each packing row's sum <cost_b, x_b> of every batch row, added in
-        # the row's own order, so no answer depends on the other batch rows
-        idx, cost, *_, segments = self._layout
-        sums = np.add.reduceat(X[:, idx] * cost, [start for start, _, _ in segments], axis=1)
-        return (sums <= [budget + FEAS_TOL for *_, budget in segments]).all(axis=1)
+        # the row's own order over its real places only (a padded sum would
+        # regroup the terms), so no answer depends on the other batch rows
+        idx, cost, *_, real, starts, _, budgets = self._grid
+        sums = np.add.reduceat(X[:, idx[real]] * cost[real], starts, axis=1)
+        return (sums <= budgets + FEAS_TOL).all(axis=1)
 
     def describe(self) -> str:
         return self.kind
@@ -224,8 +191,8 @@ class CardinalityPolytope(Polytope):
 
     kind = "cardinality"
 
-    def __init__(self, ground: GroundSet | int, k: float):
-        super().__init__(ground)
+    def __init__(self, n: int, k: float):
+        super().__init__(n)
         if not (0 < k < np.inf):
             raise ValueError(f"budget k must be positive and finite, got {k}")
         self.k = float(k)
@@ -245,8 +212,8 @@ class PartitionMatroidPolytope(Polytope):
 
     kind = "partition-matroid"
 
-    def __init__(self, ground: GroundSet | int, blocks, budgets):
-        super().__init__(ground)
+    def __init__(self, n: int, blocks, budgets):
+        super().__init__(n)
         self.blocks = [np.sort(_indices(b, self.n, "block element")) for b in blocks]
         self.budgets = _reals(budgets, "block budgets")
         if len(self.blocks) != self.budgets.size:
@@ -281,8 +248,8 @@ class KnapsackPolytope(Polytope):
 
     kind = "knapsack"
 
-    def __init__(self, ground: GroundSet | int, costs, budget: float):
-        super().__init__(ground)
+    def __init__(self, n: int, costs, budget: float):
+        super().__init__(n)
         self.costs = _reals(costs, "knapsack costs")
         if self.costs.size != self.n:
             raise ValueError(f"need one cost per element, got {self.costs.size}")

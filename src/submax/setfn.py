@@ -50,20 +50,12 @@ MC_DRAW_LIMIT = 1 << 27  # float64 uniforms in one mc draw: 1 GiB
 SubsetLike = Union[int, Iterable[int]]
 
 
-@dataclass(frozen=True)
-class GroundSet:
-    """The index set {0, ..., n-1}."""
-
-    n: int
-
-    def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1:
-            raise ValueError(f"ground set size must be a positive integer, got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))
-
-
-def as_ground(ground: GroundSet | int) -> GroundSet:
-    return ground if isinstance(ground, GroundSet) else GroundSet(int(ground))
+def _positive_int(value, what: str, error: type[Exception] = ValueError) -> int:
+    """A positive integer as a plain int.  A bool, a float such as 2.0 or
+    2.5, or a string is rejected, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise error(f"{what} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def as_mask(S: SubsetLike, n: int) -> int:
@@ -159,8 +151,8 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.mode not in ("exact", "closed", "mc"):
             raise EstimatorError(f"unknown evaluation mode {self.mode!r}")
-        if int(self.sample_count) < 1:
-            raise EstimatorError("sample_count must be a positive integer")
+        object.__setattr__(self, "sample_count",
+                           _positive_int(self.sample_count, "sample_count", EstimatorError))
 
     def substream(self, *labels: int) -> "EstimatorConfig":
         return EstimatorConfig(self.mode, self.sample_count, self.rng_seed,
@@ -178,13 +170,9 @@ class SetFunction:
     kind = "abstract"
     has_closed_form = False
 
-    def __init__(self, ground: GroundSet | int):
-        self.ground = as_ground(ground)
+    def __init__(self, n: int):
+        self.n = _positive_int(n, "ground set size")
         self._table: np.ndarray | None = None
-
-    @property
-    def n(self) -> int:
-        return self.ground.n
 
     def value(self, S: SubsetLike) -> float:
         """f(S) for a subset or bitmask, at any n (no int64 bitmask)."""
@@ -267,8 +255,8 @@ class ExplicitTable(SetFunction):
 
     kind = "explicit-table"
 
-    def __init__(self, ground: GroundSet | int, values):
-        super().__init__(ground)
+    def __init__(self, n: int, values):
+        super().__init__(n)
         vals = _reals(values, "table values")
         if self.n >= 63 or vals.size != (1 << self.n):
             raise ValueError(
@@ -323,8 +311,8 @@ class DirectedCut(SetFunction):
     kind = "directed-cut"
     has_closed_form = True
 
-    def __init__(self, ground: GroundSet | int, arcs):
-        super().__init__(ground)
+    def __init__(self, n: int, arcs):
+        super().__init__(n)
         try:
             tails, heads, weights = zip(*arcs, strict=True) if arcs else ((), (), ())
         except ValueError:
@@ -380,8 +368,8 @@ class Coverage(SetFunction):
     kind = "coverage"
     has_closed_form = True
 
-    def __init__(self, ground: GroundSet | int, covers, item_weights):
-        super().__init__(ground)
+    def __init__(self, n: int, covers, item_weights):
+        super().__init__(n)
         self.item_weights = _reals(item_weights, "item weights")
         m = self.item_weights.size
         if m and self.item_weights.min() < 0:
@@ -487,12 +475,13 @@ def default_config(f: SetFunction) -> EstimatorConfig:
     return EstimatorConfig(mode="closed" if f.has_closed_form else "exact")
 
 
-def _points(f: SetFunction, x) -> np.ndarray:
-    """x as a float array, checked to be one point of f's n coordinates or
-    an (R, n) batch of them."""
+def _points(n: int, x) -> np.ndarray:
+    """x as a float array, checked to be one point of n coordinates or an
+    (R, n) batch of them: the one shape check of every point, weight and
+    bound input."""
     xv = as_array(x)
-    if xv.ndim > 2 or np.atleast_2d(xv).shape[1] != f.n:
-        raise ValueError(f"expected a point of {f.n} coordinates or an (R, {f.n}) "
+    if xv.ndim not in (1, 2) or xv.shape[-1] != n:
+        raise ValueError(f"expected a point of {n} coordinates or an (R, {n}) "
                          f"batch, got shape {xv.shape}")
     return xv
 
@@ -501,7 +490,7 @@ def multilinear_batch(f: SetFunction, X: np.ndarray, cfg: EstimatorConfig) -> np
     """Evaluate F at every row of X in any mode: the family's polynomial
     (closed), the contracted value table (exact), or the mean of f over
     sampled sets (mc).  The mc rows of one call share one draw."""
-    X = np.atleast_2d(_points(f, X))
+    X = np.atleast_2d(_points(f.n, X))
     if cfg.mode == "closed":
         return f.closed_form_batch(X)
     if cfg.mode == "mc":
@@ -530,7 +519,7 @@ def _uniforms(n: int, cfg: EstimatorConfig) -> np.ndarray:
     the antitone structure of gradient estimates far better than independent
     draws: as 0 <= U < 1, the rows x_i = 1 and x_i = 0 of a one-coordinate
     gradient read the sets R(x) with i forced in and out."""
-    if int(cfg.sample_count) * n > MC_DRAW_LIMIT:
+    if cfg.sample_count * n > MC_DRAW_LIMIT:
         raise EstimatorError(f"mc draw of {cfg.sample_count} x {n} uniforms "
                              f"exceeds {MC_DRAW_LIMIT}")
     return cfg.rng().random((cfg.sample_count, n))
@@ -561,7 +550,7 @@ def one_coordinate_gradient(f: SetFunction, x, cfg: EstimatorConfig) -> np.ndarr
     point in one batch.  This is the gradient in exact and mc modes; in
     closed mode it is the reference the analytic gradients are checked
     against."""
-    xv = _points(f, x)
+    xv = _points(f.n, x)
     n = f.n
     X = np.repeat(np.atleast_2d(xv)[:, None, :], 2 * n, axis=1)
     X[:, np.arange(n), np.arange(n)] = 1.0
@@ -578,7 +567,7 @@ def gradient(f: SetFunction, x, cfg: EstimatorConfig | None = None) -> np.ndarra
     if cfg is None:
         cfg = default_config(f)
     if cfg.mode == "closed":
-        return f.closed_form_grad(_points(f, x))
+        return f.closed_form_grad(_points(f.n, x))
     return one_coordinate_gradient(f, x, cfg)
 
 

@@ -18,11 +18,11 @@ import numpy as np
 from .cgreedy import RunConfig, SolveReport, solve
 from .dgbox import BoxInstance, double_greedy_box_run, guarantee_floor
 from .errors import ConfigError, EstimatorError
-from .polytope import (CapParam, CardinalityPolytope, KnapsackPolytope,
+from .polytope import (CardinalityPolytope, KnapsackPolytope,
                        PartitionMatroidPolytope, Polytope)
 from .setfn import (EXACT_ENUM_LIMIT, EstimatorConfig, Point, SetFunction,
-                    _mask_bits, as_array, default_config, gradient, mask_to_set,
-                    max_singleton, multilinear, multilinear_batch,
+                    _mask_bits, _points, as_array, default_config, gradient,
+                    mask_to_set, max_singleton, multilinear, multilinear_batch,
                     one_coordinate_gradient)
 
 BRUTE_FORCE_LIMIT = 20
@@ -52,9 +52,8 @@ def brute_force_opt(f: SetFunction, C: Polytope):
 def brute_force_box_opt(f: SetFunction, u, v):
     """Exhaustive corner optimum of F over the box [u, v]; ties prefer
     corners using more upper values.  Returns (x*, value)."""
+    uv, vv = _points(f.n, u), _points(f.n, v)
     masks = _all_masks(f.n)[::-1]  # all-upper corner first
-    uv = as_array(u)
-    vv = as_array(v)
     if np.any(uv > vv + 1e-12):
         raise ValueError("box requires u <= v coordinatewise")
     corners = np.where(_mask_bits(masks, f.n), vv[None, :], uv[None, :])
@@ -300,11 +299,11 @@ def oracle_checks(C: Polytope, rng: np.random.Generator,
     for _ in range(trials):
         w = rng.normal(size=n)
         alpha = float(rng.choice([0.5, 0.7, 1.0]))
-        c = C.linear_maximize(w, CapParam(alpha))
+        c = C.linear_maximize(w, alpha)
         feas_ok &= C.contains_point(c)
         cap_ok &= c.norm_inf() <= alpha + 1e-12
-        v_half = float(w @ C.linear_maximize(w, CapParam(0.5)).v)
-        v_full = float(w @ C.linear_maximize(w, CapParam(1.0)).v)
+        v_half = float(w @ C.linear_maximize(w, 0.5).v)
+        v_full = float(w @ C.linear_maximize(w).v)
         mono_ok &= v_full >= v_half - 1e-12
         if n <= 6:
             lp_worst = max(lp_worst, abs(float(w @ c.v) - lp_brute_force(C, w, alpha)))
@@ -338,9 +337,10 @@ def dgbox_checks(f: SetFunction, rng: np.random.Generator,
         v = Point(np.maximum(a, b))
         run = double_greedy_box_run(BoxInstance(f, u, v, cfg))
         ab_ok &= bool(np.all(run.a + run.b >= -1e-9))
+        lowers, uppers = run.lowers, run.uppers
         for i in range(f.n):
-            lo_prev, hi_prev = run.lowers[i], run.uppers[i]
-            lo_cur, hi_cur = run.lowers[i + 1], run.uppers[i + 1]
+            lo_prev, hi_prev = lowers[i], uppers[i]
+            lo_cur, hi_cur = lowers[i + 1], uppers[i + 1]
             nest_ok &= bool(np.all(lo_prev <= lo_cur + 1e-12)
                             and np.all(hi_cur <= hi_prev + 1e-12)
                             and abs(lo_cur[i] - hi_cur[i]) <= 1e-12)
@@ -351,14 +351,14 @@ def dgbox_checks(f: SetFunction, rng: np.random.Generator,
         floor_ok &= got >= floor - 1e-9
         # the per-coordinate damage to the clipped optimum never exceeds the
         # average endpoint gain
-        opt_prev = np.clip(opt_pt.v, run.lowers[0], run.uppers[0])
-        fu_prev = multilinear(f, run.lowers[0], cfg)
-        fv_prev = multilinear(f, run.uppers[0], cfg)
+        opt_prev = np.clip(opt_pt.v, lowers[0], uppers[0])
+        fu_prev = multilinear(f, lowers[0], cfg)
+        fv_prev = multilinear(f, uppers[0], cfg)
         fo_prev = multilinear(f, opt_prev, cfg)
         for i in range(f.n):
-            opt_cur = np.clip(opt_pt.v, run.lowers[i + 1], run.uppers[i + 1])
-            fu_cur = multilinear(f, run.lowers[i + 1], cfg)
-            fv_cur = multilinear(f, run.uppers[i + 1], cfg)
+            opt_cur = np.clip(opt_pt.v, lowers[i + 1], uppers[i + 1])
+            fu_cur = multilinear(f, lowers[i + 1], cfg)
+            fv_cur = multilinear(f, uppers[i + 1], cfg)
             fo_cur = multilinear(f, opt_cur, cfg)
             step_ok &= (fo_prev - fo_cur
                         <= 0.5 * (fu_cur - fu_prev + fv_cur - fv_prev) + 1e-9)

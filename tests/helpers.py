@@ -81,19 +81,20 @@ def random_box(rng, n):
 
 def reference_greedy_fill(C, W, alpha):
     """The capped greedy fill of a weight batch W, one cap per row, as a walk
-    that writes each fill into its output row as it goes: the path
-    ``Polytope._greedy_fill`` must match byte for byte."""
-    idx, cost, neg_mc, origin, end, segments = C._layout
-    wr = W[:, idx]
-    mw, ew = np.frexp(wr)
-    m, e = np.frexp(mw / neg_mc)
-    order = np.lexsort((m, np.where(wr > 0, origin - ew - e, end)), axis=1)
+    over each packing row of ``C.rows`` that writes each fill into its
+    output row as it goes: the path ``Polytope._greedy_fill`` must match
+    byte for byte.  Each packing row is sorted on its own, positive weights
+    first, then by w/cost descending as exact (exponent, mantissa) keys,
+    ties to the lower index."""
     out = np.zeros_like(W)
-    for row, a, ws, cs, ds in zip(out, alpha.tolist(),
-                                  np.take_along_axis(wr, order, axis=1).tolist(),
-                                  cost[order].tolist(), idx[order].tolist()):
-        for start, stop, remaining in segments:
-            for wi, ci, i in zip(ws[start:stop], cs[start:stop], ds[start:stop]):
+    for row, a, w in zip(out, alpha.tolist(), W):
+        for idx, cost, remaining in C.rows:
+            wr = w[idx]
+            (mw, ew), (mc, ec) = np.frexp(wr), np.frexp(cost)
+            m, e = np.frexp(mw / -mc)
+            order = np.lexsort((m, np.where(wr > 0, ec - ew - e, 1 << 20)))
+            for wi, ci, i in zip(wr[order].tolist(), cost[order].tolist(),
+                                 idx[order].tolist()):
                 if remaining <= 0 or wi <= 0:
                     break
                 row[i] = fill = min(a, remaining / ci)

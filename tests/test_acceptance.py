@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import submax as sm
-from submax import CapParam, EstimatorConfig, RunConfig
+from submax import EstimatorConfig, RunConfig
 
 from helpers import (brute_force_extension, random_box, random_constraint,
                      random_coverage, random_cut, random_function)
@@ -177,7 +177,7 @@ def test_criterion_6_oracle_exactness():
         C = random_constraint(rng, n)
         w = rng.normal(size=n)
         alpha = float(rng.choice([0.5, 0.7, 1.0]))
-        got = float(w @ C.linear_maximize(w, CapParam(alpha)).v)
+        got = float(w @ C.linear_maximize(w, alpha).v)
         worst = max(worst, abs(got - sm.lp_brute_force(C, w, alpha)))
     ok = worst <= 1e-7
     _report(6, "capped oracle exactness", ok, f"200 instances, worst dev {worst:.2e}")

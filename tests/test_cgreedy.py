@@ -1,14 +1,15 @@
 """The capped/standard greedy stages, the fallback branch, and the sweep."""
 
 import dataclasses
+import hashlib
 import zlib
 
 import numpy as np
 import pytest
 
 import submax as sm
-from submax import (CapParam, ConfigError, EstimatorConfig, InvariantError,
-                    Point, RunConfig, cgreedy, setfn)
+from submax import (ConfigError, EstimatorConfig, InvariantError, Point,
+                    RunConfig, cgreedy, setfn)
 from submax.cli import main
 
 from helpers import (random_constraint, random_coverage, random_cut,
@@ -85,8 +86,7 @@ class TestDampenedStage:
         x_theta, v_theta, traj = sm.dampened_stage(f, C, run, 0.0)
         assert np.all(x_theta.v == 0.0)
         assert len(traj) == 0
-        direct = C.linear_maximize(sm.residual_gradient(f, np.zeros(2)),
-                                   CapParam(run.alpha))
+        direct = C.linear_maximize(sm.residual_gradient(f, np.zeros(2)), run.alpha)
         assert np.allclose(v_theta.v, direct.v)
 
     def test_linf_envelope_at_every_step(self):
@@ -464,8 +464,8 @@ class TestAnalyticGradientSolve:
 class _UncappedOracle(sm.CardinalityPolytope):
     """Ignores the cap, so stage one outgrows its l-inf envelope."""
 
-    def linear_maximize(self, w, cap=CapParam(1.0)):
-        return sm.Polytope.linear_maximize(self, w, CapParam(1.0))
+    def linear_maximize(self, w, alpha=1.0):
+        return sm.Polytope.linear_maximize(self, w)
 
 
 class _EmptyBody(sm.CardinalityPolytope):
@@ -637,3 +637,36 @@ def test_batch_kernels_solve_as_the_reference_kernels(body, monkeypatch):
     monkeypatch.setattr(sm.polytope.Polytope, "_greedy_fill", reference_greedy_fill)
     f, C = inst.build()
     assert _report_bytes(got) == _report_bytes(sm.solve(f, C, RunConfig(), opt))
+
+
+# sha256 of repr(_report_bytes(report)) for a solve of gen(kind, 8, body, 5)
+# at delta 0.01 over the default grid: every ThetaResult field (the p and z
+# bytes among them) and best_*, so that any output moving by one bit fails
+PINNED_DIGESTS = {
+    ("directed-cut", "cardinality"):
+        "0ae5ef43f3006d510a458a30b4fda24e0fd0c21820306d34f5f667165493d8ea",
+    ("directed-cut", "partition-matroid"):
+        "4826691dbfe286a456db15c8622a74b6dfcdecefcdafc9a56cfaea5fa6b49cda",
+    ("directed-cut", "knapsack"):
+        "b4366cb89f60547dc600296617ac09262e1f3f90525064e539effa962d03c195",
+    ("coverage", "cardinality"):
+        "6f2524e10487014ef4fa343d1ca721e6302b703b788cac01b46c3f2084ffa294",
+    ("coverage", "partition-matroid"):
+        "a33de7ac730a86395f7960b223f28e38bd83dbdfa9fb5c80ca725fc68909e91b",
+    ("coverage", "knapsack"):
+        "d7065e248ac6bd41f79caa9111f8d6270cf909dbf8c8800f04a9eff068ecedca",
+    ("explicit-table", "cardinality"):
+        "77e3390a805b7eab940e0650b6194ef9bb9f9409b29f9791febf63c5c373f4fc",
+    ("explicit-table", "partition-matroid"):
+        "50a92815c24672e79a5399c0f267ace7afaf0a0e05c7fb133dc0aa367c3a8d7c",
+    ("explicit-table", "knapsack"):
+        "4f70c21ba46399ea19389c2db27d06e7ee443646acad6bad9ee67f739b497749",
+}
+
+
+@pytest.mark.parametrize("kind, body", list(PINNED_DIGESTS))
+def test_solve_outputs_match_their_pinned_digests(kind, body):
+    f, C = sm.gen(kind, 8, body, 5).build()
+    report = sm.solve(f, C, RunConfig(delta=0.01))
+    digest = hashlib.sha256(repr(_report_bytes(report)).encode()).hexdigest()
+    assert digest == PINNED_DIGESTS[kind, body]

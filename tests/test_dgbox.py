@@ -18,9 +18,12 @@ EXACT = EstimatorConfig(mode="exact")
 def four_row_run(f, u, v, cfg):
     """The double greedy scored with four extension rows per coordinate,
     a_i = w (F(lo, x_i=1) - F(lo, x_i=0)), b_i = w (F(hi, x_i=0) - F(hi, x_i=1)):
-    the reference the partial-derivative path is checked against."""
+    the reference the partial-derivative path is checked against.  Returns
+    the gains, the point, and the lower and upper corners it walks through
+    (index 0 the initial box)."""
     lo, hi = u.v.copy(), v.v.copy()
     a, b = np.zeros(f.n), np.zeros(f.n)
+    lowers, uppers = [lo.copy()], [hi.copy()]
     for i in range(f.n):
         width = hi[i] - lo[i]
         X = np.vstack([lo, lo, hi, hi])
@@ -34,7 +37,9 @@ def four_row_run(f, u, v, cfg):
             hi[i] = lo[i]
         else:
             lo[i] = hi[i]
-    return a, b, lo
+        lowers.append(lo.copy())
+        uppers.append(hi.copy())
+    return a, b, lo, lowers, uppers
 
 
 def assert_rel_close(got, ref, rtol):
@@ -196,7 +201,7 @@ class TestClosedFormPartials:
             if trial % 3 == 0:
                 u, v = Point.zeros(n), Point.ones(n)
             run = sm.double_greedy_box_run(BoxInstance(f, u, v, CLOSED))
-            a, b, point = four_row_run(f, u, v, CLOSED)
+            a, b, point, *_ = four_row_run(f, u, v, CLOSED)
             assert_rel_close(run.a, a, 1e-11)
             assert_rel_close(run.b, b, 1e-11)
             assert np.max(np.abs(run.point.v - point)) <= 1e-12
@@ -222,12 +227,15 @@ class TestScoringPath:
         rng = np.random.default_rng(74)
         for n in (2, 5, 8):
             f = random_table_function(rng, n)
-            u, v = random_box(rng, n)
-            run = sm.double_greedy_box_run(BoxInstance(f, u, v, EXACT))
-            a, b, point = four_row_run(f, u, v, EXACT)
-            assert run.a.tolist() == a.tolist()
-            assert run.b.tolist() == b.tolist()
-            assert run.point.v.tolist() == point.tolist()
+            for u, v in (random_box(rng, n), (Point.zeros(n), Point.ones(n))):
+                run = sm.double_greedy_box_run(BoxInstance(f, u, v, EXACT))
+                a, b, point, lowers, uppers = four_row_run(f, u, v, EXACT)
+                assert run.a.tolist() == a.tolist()
+                assert run.b.tolist() == b.tolist()
+                assert run.point.v.tolist() == point.tolist()
+                # the corners a run rebuilds from its point are the ones walked
+                assert [c.tobytes() for c in run.lowers] == [c.tobytes() for c in lowers]
+                assert [c.tobytes() for c in run.uppers] == [c.tobytes() for c in uppers]
 
 
 def partials_run(f, u, v):
@@ -281,7 +289,7 @@ class TestOnePointCoordinates:
         for n in (3, 6, 9):
             f = random_table_function(rng, n)
             u, v, open_coords = self.pinched_box(rng, n)
-            a, b, point = four_row_run(f, u, v, EXACT)
+            a, b, point, *_ = four_row_run(f, u, v, EXACT)
             rows = []
             batch = sm.dgbox.multilinear_batch
             monkeypatch.setattr(sm.dgbox, "multilinear_batch",

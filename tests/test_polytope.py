@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import submax as sm
-from submax import CapParam, Point
+from submax import Point
 from submax.polytope import FEAS_TOL
 
 from helpers import random_constraint, reference_greedy_fill
@@ -17,7 +17,7 @@ class TestLinearMaximizeExamples:
     def test_cardinality_capped(self):
         C = sm.CardinalityPolytope(3, 2)
         w = [3.0, 2.0, 1.0]
-        c = C.linear_maximize(w, CapParam(0.5))
+        c = C.linear_maximize(w, 0.5)
         assert np.allclose(c.v, [0.5, 0.5, 0.5])
         assert np.dot(w, c.v) == pytest.approx(3.0)
         assert np.dot(w, c.v) == pytest.approx(sm.lp_brute_force(C, w, 0.5))
@@ -25,7 +25,7 @@ class TestLinearMaximizeExamples:
     def test_cardinality_uncapped_negative_zeroed(self):
         C = sm.CardinalityPolytope(3, 2)
         w = [3.0, 2.0, -1.0]
-        c = C.linear_maximize(w, CapParam(1.0))
+        c = C.linear_maximize(w, 1.0)
         assert np.allclose(c.v, [1.0, 1.0, 0.0])
         assert np.dot(w, c.v) == pytest.approx(5.0)
         assert np.dot(w, c.v) == pytest.approx(sm.lp_brute_force(C, w, 1.0))
@@ -33,7 +33,7 @@ class TestLinearMaximizeExamples:
     def test_knapsack_fractional(self):
         C = sm.KnapsackPolytope(2, [1.0, 2.0], 2.0)
         w = [3.0, 2.0]
-        c = C.linear_maximize(w, CapParam(0.5))
+        c = C.linear_maximize(w, 0.5)
         assert np.allclose(c.v, [0.5, 0.5])
         assert np.dot(w, c.v) == pytest.approx(2.5)
         assert np.dot(w, c.v) == pytest.approx(sm.lp_brute_force(C, w, 0.5))
@@ -47,7 +47,7 @@ class TestLinearMaximizeExamples:
     def test_budget_exhaustion_leftover(self):
         # k=1, cap 0.7: best coordinate gets 0.7, next gets the 0.3 leftover
         C = sm.CardinalityPolytope(3, 1)
-        c = C.linear_maximize([5.0, 4.0, 3.0], CapParam(0.7))
+        c = C.linear_maximize([5.0, 4.0, 3.0], 0.7)
         assert np.allclose(c.v, [0.7, 0.3, 0.0])
 
     @pytest.mark.parametrize("C, w, expect", [
@@ -60,7 +60,7 @@ class TestLinearMaximizeExamples:
          [1.0, 2.0, 1.0, 2.0], [0.5, 0.5, 0.0, 0.0]),
     ], ids=["cardinality", "partition", "knapsack"])
     def test_deterministic_tie_break_low_index_first(self, C, w, expect):
-        c = C.linear_maximize(w, CapParam(0.5))
+        c = C.linear_maximize(w, 0.5)
         assert c.v.tolist() == expect
 
     def test_nonfinite_weights_rejected(self):
@@ -102,7 +102,7 @@ class TestLinearMaximizeExamples:
             for C in (sm.KnapsackPolytope(k, cost, rng.uniform(0.2, 0.8) * cost.sum()),
                       sm.PartitionMatroidPolytope(k, blocks, [max(1, b.size // 2) for b in blocks])):
                 for alpha in (0.5, 1.0):
-                    got = C.linear_maximize(w, CapParam(alpha)).v
+                    got = C.linear_maximize(w, alpha).v
                     assert got.tobytes() == float_ratio_greedy(C, w, alpha).tobytes()
 
 
@@ -123,33 +123,39 @@ class TestBatchOracle:
              "knapsack": sm.KnapsackPolytope(n, costs, 0.4 * costs.sum())}[body]
         W = rng.normal(size=(R, n))
         W[::2] = np.round(W[::2], 1)  # some rows with tied weights
-        got = C.linear_maximize(W, CapParam(alpha))
+        got = C.linear_maximize(W, alpha)
         assert got.shape == (R, n)
         for w, row in zip(W, got):
-            assert row.tobytes() == C.linear_maximize(w, CapParam(alpha)).v.tobytes()
+            assert row.tobytes() == C.linear_maximize(w, alpha).v.tobytes()
 
     def test_cap_per_row(self):
         C = sm.CardinalityPolytope(3, 1)
         W = np.array([[5.0, 4.0, 3.0]] * 3)
-        got = C.linear_maximize(W, [CapParam(0.25), CapParam(1.0), CapParam(0.5)])
+        got = C.linear_maximize(W, [0.25, 1.0, 0.5])
         assert got.tolist() == [[0.25, 0.25, 0.25], [1.0, 0.0, 0.0], [0.5, 0.5, 0.0]]
         with pytest.raises(ValueError, match="caps"):
-            C.linear_maximize(W, [CapParam(0.5)] * 2)
+            C.linear_maximize(W, [0.5] * 2)
 
     @pytest.mark.parametrize("body", ["cardinality", "partition", "knapsack"])
     def test_empty_batch_gets_an_empty_answer(self, body):
         C = {"cardinality": sm.CardinalityPolytope(3, 1),
              "partition": sm.PartitionMatroidPolytope(3, [[0, 2], [1]], [1, 1]),
              "knapsack": sm.KnapsackPolytope(3, [1.0, 2.0, 0.5], 1.5)}[body]
-        for cap in (CapParam(0.5), []):
+        for cap in (0.5, []):
             got = C.linear_maximize(np.zeros((0, 3)), cap)
             assert got.shape == (0, 3) and got.dtype == float
         assert C.contains_point(np.zeros((0, 3))).shape == (0,)
 
-    @pytest.mark.parametrize("cap", [[0.5, 1.0], 0.5, [CapParam(0.5), 1.0], None])
-    def test_caps_must_be_capparams(self, cap):
+    @pytest.mark.parametrize("cap", [
+        0.0, -0.5, 1.2, np.inf, np.nan, [0.5, np.nan], "0.5", None, True,
+        [0.5, "x"], [0.5], [0.5, 1.0, 1.0], [[0.5, 1.0]]],
+        ids=["zero", "negative", "above-one", "inf", "nan", "nan-in-row", "str",
+             "none", "bool", "str-in-row", "too-few", "too-many", "two-axes"])
+    def test_bad_caps_rejected(self, cap):
+        # a cap outside (0, 1], NaN, a non-number, a wrong count or more
+        # than one axis, for a batch of two weight rows
         C = sm.CardinalityPolytope(3, 1)
-        with pytest.raises(TypeError, match="CapParam"):
+        with pytest.raises(ValueError, match="caps"):
             C.linear_maximize(np.ones((2, 3)), cap)
 
     def test_huge_budget_over_tiny_costs(self):
@@ -158,7 +164,7 @@ class TestBatchOracle:
         W = np.array([[3.0, 2.0, 1.0], [1.0, 1.0, 1.0], [0.0, 0.0, 5.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = C.linear_maximize(W, [CapParam(1.0), CapParam(0.5), CapParam(1.0)])
+            got = C.linear_maximize(W, [1.0, 0.5, 1.0])
         want = reference_greedy_fill(C, W, np.array([1.0, 0.5, 1.0]))
         assert got.tobytes() == want.tobytes()
 
@@ -175,7 +181,7 @@ class TestBatchOracle:
         rng = np.random.default_rng(9)
         W = rng.normal(size=(9, 7))
         alpha = rng.choice([0.3, 0.5, 1.0], 9)
-        got = C.linear_maximize(W, [CapParam(a) for a in alpha])
+        got = C.linear_maximize(W, alpha)
         assert got.tobytes() == reference_greedy_fill(C, W, alpha).tobytes()
         assert not got[:, 2].any()
 
@@ -209,7 +215,7 @@ class TestBatchOracle:
             alphas = [0.5, 1.0] * 4 + [0.5]
             for C in (sm.KnapsackPolytope(k, cost, rng.uniform(0.2, 0.8) * cost.sum()),
                       sm.PartitionMatroidPolytope(k, blocks, [max(1, b.size // 2) for b in blocks])):
-                got = C.linear_maximize(W, [CapParam(a) for a in alphas])
+                got = C.linear_maximize(W, alphas)
                 for w, alpha, row in zip(W, alphas, got):
                     assert row.tobytes() == float_ratio_greedy(C, w, alpha).tobytes()
 
@@ -305,6 +311,16 @@ class TestContains:
 
 
 class TestConstruction:
+    @pytest.mark.parametrize("n", [2.7, 2.0, "3", True, 0])
+    @pytest.mark.parametrize("make", [
+        lambda n: sm.CardinalityPolytope(n, 1),
+        lambda n: sm.PartitionMatroidPolytope(n, [[0, 1]], [1]),
+        lambda n: sm.KnapsackPolytope(n, [1.0, 1.0], 1.0)],
+        ids=["cardinality", "partition", "knapsack"])
+    def test_ground_size_must_be_a_positive_integer(self, make, n):
+        with pytest.raises(ValueError, match="ground set size must be a positive integer"):
+            make(n)
+
     def test_zero_cost_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             sm.KnapsackPolytope(2, [0.0, 1.0], 1.0)
@@ -322,10 +338,11 @@ class TestConstruction:
             sm.PartitionMatroidPolytope(3, [[0, 1]], [1])
 
     def test_cap_range(self):
-        with pytest.raises(ValueError):
-            CapParam(0.0)
-        with pytest.raises(ValueError):
-            CapParam(1.2)
+        C = sm.CardinalityPolytope(2, 1)
+        for alpha in (0.0, 1.2):
+            with pytest.raises(ValueError, match="caps"):
+                C.linear_maximize([1.0, 2.0], alpha)
+        assert C.linear_maximize([1.0, 2.0], 1).v.tolist() == [0.0, 1.0]
 
 
 class TestOracleOptimality:
@@ -336,7 +353,7 @@ class TestOracleOptimality:
             C = random_constraint(rng, n)
             w = rng.normal(size=n)
             alpha = float(rng.choice([0.5, 0.7, 1.0]))
-            got = float(w @ C.linear_maximize(w, CapParam(alpha)).v)
+            got = float(w @ C.linear_maximize(w, alpha).v)
             assert got == pytest.approx(sm.lp_brute_force(C, w, alpha), abs=1e-7)
 
     def test_enumeration_dominates_random_feasible_points(self):
@@ -359,8 +376,8 @@ class TestOracleOptimality:
             n = int(rng.integers(2, 8))
             C = random_constraint(rng, n)
             w = rng.normal(size=n)
-            lo = float(w @ C.linear_maximize(w, CapParam(0.5)).v)
-            hi = float(w @ C.linear_maximize(w, CapParam(1.0)).v)
+            lo = float(w @ C.linear_maximize(w, 0.5).v)
+            hi = float(w @ C.linear_maximize(w, 1.0).v)
             assert hi >= lo - 1e-12
 
 
@@ -371,7 +388,7 @@ def test_oracle_output_feasible_and_capped(seed, n):
     C = random_constraint(rng, n)
     w = rng.normal(size=n)
     alpha = float(rng.choice([0.5, 0.7, 1.0]))
-    c = C.linear_maximize(w, CapParam(alpha))
+    c = C.linear_maximize(w, alpha)
     assert C.contains_point(c)
     assert c.norm_inf() <= alpha + 1e-12
     assert np.all(c.v[np.asarray(w) <= 0] == 0.0)

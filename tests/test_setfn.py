@@ -309,6 +309,22 @@ class TestPointShape:
             sm.multilinear_batch(f, x, cfg)
 
 
+class TestGroundSize:
+    @pytest.mark.parametrize("n", [2.5, 2.0, "3", True, 0, -1, None])
+    @pytest.mark.parametrize("make", [
+        lambda n: sm.DirectedCut(n, []),
+        lambda n: sm.Coverage(n, [[]] * 2, []),
+        lambda n: sm.ExplicitTable(n, [0.0] * 4)], ids=["cut", "coverage", "table"])
+    def test_non_integers_and_nonpositive_sizes_rejected(self, make, n):
+        # never truncated: 2.5 is not 2, "3" is not 3, True is not 1
+        with pytest.raises(ValueError, match="ground set size must be a positive integer"):
+            make(n)
+
+    def test_numpy_integer_size_is_a_plain_int(self):
+        f = sm.DirectedCut(np.int64(3), [(0, 1, 1.0)])
+        assert type(f.n) is int and f.n == 3
+
+
 class TestCutWeightMatrix:
     """A cut's closed forms read only its (n, n) weight matrix W."""
 
@@ -424,6 +440,16 @@ class TestMonteCarlo:
             EstimatorConfig(mode="bogus")
         with pytest.raises(EstimatorError):
             EstimatorConfig(mode="mc", sample_count=0)
+
+    @pytest.mark.parametrize("count", [2.5, "7", True, 2.0, -3])
+    def test_sample_count_must_be_a_positive_integer(self, count):
+        # rejected at construction, never truncated or left for the draw
+        with pytest.raises(EstimatorError, match="sample_count"):
+            EstimatorConfig(mode="mc", sample_count=count)
+
+    def test_sample_count_is_a_plain_int(self):
+        cfg = EstimatorConfig(mode="mc", sample_count=np.int64(7))
+        assert type(cfg.sample_count) is int and cfg.sample_count == 7
 
     @pytest.mark.parametrize("n", [1, 5, 9])
     @pytest.mark.parametrize("make", [random_cut, random_coverage,

@@ -89,6 +89,14 @@ class TestBruteForceBoxOpt:
         assert np.allclose(x.v, v.v)
         assert val == pytest.approx(2.5)
 
+    @pytest.mark.parametrize("u, v", [
+        ([0.0, 0.0], [1.0, 1.0, 1.0]), ([0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0]),
+        ([0.0, 0.0, 0.0], [1.0, 1.0])])
+    def test_bound_of_the_wrong_size_rejected(self, u, v):
+        f = sm.DirectedCut(3, [(0, 1, 1.0)])
+        with pytest.raises(ValueError, match="3 coordinates"):
+            sm.brute_force_box_opt(f, u, v)
+
     def test_dominates_random_interior_points(self):
         # corner optimality: no interior point of the box does better
         rng = np.random.default_rng(2)
