@@ -32,6 +32,7 @@ both are tested against (``one_coordinate_gradient``).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -56,6 +57,17 @@ def _positive_int(value, what: str, error: type[Exception] = ValueError) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
         raise error(f"{what} must be a positive integer, got {value!r}")
     return int(value)
+
+
+def _positive_real(value, what: str) -> float:
+    """A positive finite real number as a plain float.  A bool, a string or
+    None is rejected, never converted."""
+    if isinstance(value, (np.integer, np.floating)):
+        value = value.item()  # so that the comparisons below are exact
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not 0 < value <= sys.float_info.max):
+        raise ValueError(f"{what} must be positive and finite, got {value!r}")
+    return float(value)
 
 
 def as_mask(S: SubsetLike, n: int) -> int:
@@ -153,13 +165,18 @@ class EstimatorConfig:
             raise EstimatorError(f"unknown evaluation mode {self.mode!r}")
         object.__setattr__(self, "sample_count",
                            _positive_int(self.sample_count, "sample_count", EstimatorError))
+        # any integer, negative ones too (``submax solve --seed`` takes any
+        # int); the stream reads its low 64 bits
+        if isinstance(self.rng_seed, bool) or not isinstance(self.rng_seed, (int, np.integer)):
+            raise EstimatorError(f"rng_seed must be an integer, got {self.rng_seed!r}")
+        object.__setattr__(self, "rng_seed", int(self.rng_seed))
 
     def substream(self, *labels: int) -> "EstimatorConfig":
         return EstimatorConfig(self.mode, self.sample_count, self.rng_seed,
                                self.stream + tuple(int(l) for l in labels))
 
     def rng(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(entropy=int(self.rng_seed) & (2**64 - 1),
+        seq = np.random.SeedSequence(entropy=self.rng_seed & (2**64 - 1),
                                      spawn_key=self.stream)
         return np.random.Generator(np.random.Philox(seq))
 
@@ -243,7 +260,9 @@ def _reals(values, what: str) -> np.ndarray:
     if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iuf"):
         raise ValueError(f"{what} must be a flat list of numbers")
     arr = arr.astype(float)
-    if not np.isfinite(arr.sum()):
+    with np.errstate(over="ignore"):  # an overflowing sum is the error below
+        total = arr.sum()
+    if not np.isfinite(total):
         raise ValueError(f"{what} must be finite, and so must their sum")
     return arr
 

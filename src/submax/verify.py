@@ -21,7 +21,7 @@ from .errors import ConfigError, EstimatorError
 from .polytope import (CardinalityPolytope, KnapsackPolytope,
                        PartitionMatroidPolytope, Polytope)
 from .setfn import (EXACT_ENUM_LIMIT, EstimatorConfig, Point, SetFunction,
-                    _mask_bits, _points, as_array, default_config, gradient,
+                    _mask_bits, _points, default_config, gradient,
                     mask_to_set, max_singleton, multilinear, multilinear_batch,
                     one_coordinate_gradient)
 
@@ -89,9 +89,17 @@ def best_bound_theta(alpha: float, grid_points: int = 1000):
     return float(thetas[i]), float(vals[i])
 
 
+def _one_point(n: int, x) -> np.ndarray:
+    """x checked by ``setfn._points`` to be one point of n coordinates."""
+    xv = _points(n, x)
+    if xv.ndim != 1:
+        raise ValueError(f"expected one point of {n} coordinates, got shape {xv.shape}")
+    return xv
+
+
 def check_x_or_opt(f: SetFunction, x, S) -> bool:
     """Whether F(x | 1_S) >= (1 - ||x||_inf) f(S), with slack 1e-9."""
-    xv = as_array(x)
+    xv = _one_point(f.n, x)
     ind = Point.indicator(f.n, S).v
     joined = np.maximum(xv, ind)
     lhs = multilinear(f, joined, default_config(f))
@@ -112,7 +120,7 @@ def lp_brute_force(C: Polytope, w, alpha: float) -> float:
     enumerating those patterns is exhaustive.  Exponential and only meant
     for small n.
     """
-    wv = as_array(w)
+    wv = _one_point(C.n, w)
     if isinstance(C, CardinalityPolytope):
         return _lp_single_row(wv, np.ones(C.n), C.k, alpha)
     if isinstance(C, KnapsackPolytope):

@@ -381,10 +381,23 @@ class TestCli:
          lambda d: d.update(n=4097), "'n' must be a positive integer <= 4096"),
         ("directed-cut", "partition-matroid",
          lambda d: d.update(n=2**63), "'n' must be a positive integer <= 4096"),
+        ("coverage", "cardinality", lambda d: d["constraint"].update(k=True),
+         "cardinality budget k must be positive and finite, got True"),
+        ("coverage", "cardinality", lambda d: d["constraint"].update(k=None),
+         "cardinality budget k must be positive and finite, got None"),
+        ("coverage", "cardinality", lambda d: d["constraint"].update(k="2"),
+         "cardinality budget k must be positive and finite, got '2'"),
+        ("directed-cut", "knapsack", lambda d: d["constraint"].update(budget=True),
+         "knapsack budget must be positive and finite, got True"),
+        ("directed-cut", "knapsack", lambda d: d["constraint"].update(budget=None),
+         "knapsack budget must be positive and finite, got None"),
+        ("directed-cut", "knapsack", lambda d: d["constraint"].update(budget="2"),
+         "knapsack budget must be positive and finite, got '2'"),
     ], ids=["function-list", "n-string", "two-element-arc", "budget-string",
             "budget-nan", "k-infinity", "item-weights-2d", "costs-2d",
             "fractional-endpoint", "fractional-item", "fractional-block-element",
-            "four-element-arc", "cut-n-4097", "partition-n-2^63"])
+            "four-element-arc", "cut-n-4097", "partition-n-2^63", "k-true", "k-null",
+            "k-string", "budget-true", "budget-null", "budget-string-2"])
     def test_malformed_instance_is_a_format_error(self, tmp_path, capsys, kind,
                                                   constraint, mutate, message):
         doc = json.loads(sm.gen(kind, 4, constraint, 0).to_json())

@@ -1,5 +1,6 @@
 """Constraint bodies: the capped linear oracle and membership tests."""
 
+import copy
 import warnings
 
 import numpy as np
@@ -331,6 +332,24 @@ class TestConstruction:
         with pytest.raises(ValueError):
             sm.KnapsackPolytope(2, [1.0, 1.0], -1.0)
 
+    @pytest.mark.parametrize("budget", [True, None, "2", float("nan"), np.inf,
+                                        10**400, -1.0, 0])
+    @pytest.mark.parametrize("make, what", [
+        (lambda b: sm.CardinalityPolytope(3, b), "cardinality budget k"),
+        (lambda b: sm.KnapsackPolytope(3, [1.0, 2.0, 3.0], b), "knapsack budget")],
+        ids=["cardinality", "knapsack"])
+    def test_budget_must_be_a_positive_finite_number(self, make, what, budget):
+        # one scalar check names the field; a bool, None or a string is
+        # rejected, never converted or compared raw
+        with pytest.raises(ValueError, match=f"{what} must be positive and finite"):
+            make(budget)
+
+    @pytest.mark.parametrize("budget", [2, 2.5, np.int64(2), np.float32(2.5)])
+    def test_budget_is_a_plain_float(self, budget):
+        assert type(sm.CardinalityPolytope(3, budget).k) is float
+        C = sm.KnapsackPolytope(3, [1.0, 2.0, 3.0], budget)
+        assert type(C.budget) is float and C.budget == float(budget)
+
     def test_partition_must_cover_disjointly(self):
         with pytest.raises(ValueError, match="disjoint"):
             sm.PartitionMatroidPolytope(3, [[0, 1], [1, 2]], [1, 1])
@@ -439,3 +458,100 @@ def test_greedy_fill_matches_the_per_row_walk(seed, n, R, body, tied, exact):
         C = sm.PartitionMatroidPolytope(n, blocks, [budget(np.ones(b.size)) for b in blocks])
     got = C._greedy_fill(W, alpha)
     assert got.tobytes() == reference_greedy_fill(C, W, alpha).tobytes()
+
+
+class _UnitRows(sm.polytope.Polytope):
+    # unit-cost packing rows of 3 and 2 places; coordinate 4 in no row
+    def __init__(self):
+        super().__init__(6)
+        self.rows = [(np.array([0, 2, 5]), np.ones(3), 1.3),
+                     (np.array([1, 3]), np.ones(2), 0.6)]
+
+
+SHORTCUT_BODIES = {
+    # name: (body, its grid's unit and ident flags)
+    "cardinality": (lambda: sm.CardinalityPolytope(7, 2.5), True, True),
+    "cardinality-below-a-cap": (lambda: sm.CardinalityPolytope(7, 0.2), True, True),
+    "partition": (lambda: sm.PartitionMatroidPolytope(
+        7, [[0, 3, 5], [1, 2, 4, 6]], [1.5, 0.7]), True, False),
+    "partition-one-block": (lambda: sm.PartitionMatroidPolytope(
+        7, [[6, 0, 1, 2, 3, 4, 5]], [2.2]), True, True),
+    "knapsack-unit-costs": (lambda: sm.KnapsackPolytope(7, [1.0] * 7, 3.7), True, True),
+    "knapsack": (lambda: sm.KnapsackPolytope(
+        7, [0.5, 1.0, 2.0, 1.0, 0.25, 3.0, 1.5], 2.9), False, True),
+    "unit-rows-and-a-free-coordinate": (_UnitRows, True, False),
+}
+EXTREME_WEIGHTS = [5e-324, -5e-324, 0.0, -0.0, 1.0, 1.0, 2.0, 0.5, 1e300, -1e300,
+                   1e-300, -1e-300, 1.7e308, -1.0]
+
+
+def general_path(C):
+    """C with the unit-cost and identity shortcuts off: the same grid, read
+    by the general fill and membership."""
+    G = copy.copy(C)
+    G.__dict__["_grid"] = C._grid._replace(unit=False, ident=False)
+    return G
+
+
+def extreme_batch(n, seed, R=40):
+    # weights drawn from the extremes, plus rows of exact ties and rows with
+    # no positive weight; one cap per row from {0.3, 0.5, 0.7, 1}
+    rng = np.random.default_rng(seed)
+    W = rng.choice(EXTREME_WEIGHTS, (R, n))
+    W[0], W[1], W[2] = 1.0, -0.0, [5e-324, 0.0] * (n // 2) + [5e-324] * (n % 2)
+    W[3] = rng.choice([1e300, 1e-300, 1.0], n)
+    return W, rng.choice([0.3, 0.5, 0.7, 1.0], R)
+
+
+class TestShortcuts:
+    @pytest.mark.parametrize("name", SHORTCUT_BODIES)
+    def test_grid_records_unit_costs_and_identity_layouts(self, name):
+        make, unit, ident = SHORTCUT_BODIES[name]
+        grid = make()._grid
+        assert (grid.unit, grid.ident) == (unit, ident)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("name", SHORTCUT_BODIES)
+    def test_fill_matches_the_walk_and_the_general_path(self, name, seed):
+        # byte for byte, as a batch and one row at a time
+        C = SHORTCUT_BODIES[name][0]()
+        W, alpha = extreme_batch(C.n, seed)
+        want = reference_greedy_fill(C, W, alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert C._greedy_fill(W, alpha).tobytes() == want.tobytes()
+            assert C.linear_maximize(W, alpha).tobytes() == want.tobytes()
+            for w, a, row in zip(W, alpha, want):
+                assert C.linear_maximize(w, a).v.tobytes() == row.tobytes()
+        assert general_path(C)._greedy_fill(W, alpha).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", SHORTCUT_BODIES)
+    def test_membership_matches_the_general_path(self, name):
+        # points on the budget (the fills) and just off it, row by row too
+        C = SHORTCUT_BODIES[name][0]()
+        W, alpha = extreme_batch(C.n, 7)
+        fills = C.linear_maximize(np.abs(W) + 1.0, alpha)
+        X = np.concatenate([fills, fills * (1 + FEAS_TOL), fills * (1 + 2 * FEAS_TOL),
+                            fills + FEAS_TOL / C.n, np.random.default_rng(7).random((20, C.n))])
+        got = C.contains_point(X)
+        assert got.tolist() == general_path(C).contains_point(X).tolist()
+        assert got.any() and not got.all()
+        assert [C.contains_point(x) for x in X] == got.tolist()
+
+    @pytest.mark.parametrize("name", SHORTCUT_BODIES)
+    def test_inputs_are_only_read(self, name):
+        # the identity layout reads the caller's weights in place
+        C = SHORTCUT_BODIES[name][0]()
+        W, alpha = extreme_batch(C.n, 3)
+        before = W.copy()
+        W.flags.writeable = False
+        c = C.linear_maximize(W, alpha)
+        one = C.linear_maximize(W[5], 0.5)
+        assert W.tobytes() == before.tobytes()
+        assert not np.shares_memory(c, W) and not np.shares_memory(one.v, W)
+        X = np.random.default_rng(3).random((9, C.n))
+        X_before = X.copy()
+        X.flags.writeable = False
+        C.contains_point(X)
+        C.contains_point(X[4])
+        assert X.tobytes() == X_before.tobytes()

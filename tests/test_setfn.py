@@ -1,6 +1,7 @@
 """Set functions, points, and the multilinear extension estimators."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -407,6 +408,12 @@ class TestExplicitTableValidation:
         with pytest.raises(ValueError):
             sm.ExplicitTable(3, [0.0] * 7)
 
+    def test_overflowing_sum_is_a_typed_error_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="knapsack costs must be finite"):
+                sm.KnapsackPolytope(5, [1e308] * 5, 1.0)
+
     def test_generated_mixtures_accepted(self):
         rng = np.random.default_rng(23)
         for n in (4, 6, 8):
@@ -450,6 +457,21 @@ class TestMonteCarlo:
     def test_sample_count_is_a_plain_int(self):
         cfg = EstimatorConfig(mode="mc", sample_count=np.int64(7))
         assert type(cfg.sample_count) is int and cfg.sample_count == 7
+
+    @pytest.mark.parametrize("seed", [2.5, 2.0, "x", True, None])
+    def test_rng_seed_must_be_an_integer(self, seed):
+        # rejected at construction, never truncated or left for the draw
+        with pytest.raises(EstimatorError, match="rng_seed"):
+            EstimatorConfig(mode="mc", sample_count=10, rng_seed=seed)
+
+    def test_rng_seed_takes_any_integer_modulo_2_to_the_64(self, one_arc):
+        # a negative seed, as `submax solve --seed` accepts, reads its low
+        # 64 bits; a numpy integer is stored as a plain int
+        value = sm.multilinear(one_arc, [0.3, 0.6],
+                               EstimatorConfig(mode="mc", sample_count=500, rng_seed=-1))
+        cfg = EstimatorConfig(mode="mc", sample_count=500, rng_seed=np.uint64(2**64 - 1))
+        assert type(cfg.rng_seed) is int
+        assert sm.multilinear(one_arc, [0.3, 0.6], cfg) == value
 
     @pytest.mark.parametrize("n", [1, 5, 9])
     @pytest.mark.parametrize("make", [random_cut, random_coverage,

@@ -167,6 +167,26 @@ class TestJoinLowerBound:
             f = random_table_function(rng, n)
             assert sm.check_x_or_opt(f, rng.random(n), int(rng.integers(1 << n)))
 
+    @pytest.mark.parametrize("x", [[0.5, 0.5], [0.5] * 4, [[0.5] * 3]],
+                             ids=["short", "long", "batch"])
+    def test_point_of_the_wrong_shape_rejected(self, x):
+        f = sm.DirectedCut(3, [(0, 1, 1.0)])
+        with pytest.raises(ValueError, match="3 coordinates"):
+            sm.check_x_or_opt(f, x, {0})
+
+
+class TestLpBruteForce:
+    @pytest.mark.parametrize("w", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [[1.0, 2.0, 3.0]]],
+                             ids=["short", "long", "batch"])
+    @pytest.mark.parametrize("C", [
+        sm.CardinalityPolytope(3, 1),
+        sm.PartitionMatroidPolytope(3, [[0], [1, 2]], [1, 1]),
+        sm.KnapsackPolytope(3, [1.0, 2.0, 3.0], 2.0)],
+        ids=["cardinality", "partition", "knapsack"])
+    def test_weights_of_the_wrong_shape_rejected(self, C, w):
+        with pytest.raises(ValueError, match="3 coordinates"):
+            sm.lp_brute_force(C, w, 0.5)
+
 
 class TestPropertySuite:
     def test_clean_instance_passes_all_hard_checks(self):
