@@ -36,6 +36,15 @@ oracle answer each row as they answer it alone, bit for bit, so the sweep
 equals the per-theta composition of ``dampened_stage`` and
 ``standard_stage`` (the same step routine on one row, recording per-step
 trajectories) and ``dg_branch``.
+
+The loop runs kernels on arrays it built, not the public calls that check
+their inputs: the family's gradient kernel (``closed_form_grad`` in closed
+mode), the oracle's fill from a plan, and the body's membership kernel.
+What does not change from step to step is checked or built once per solve:
+the run's numbers by ``RunConfig``, the body's size against the
+function's, and the oracle's plans, which depend only on the batch's
+shape.  What changes is checked at every step, on every row: the weights
+are finite (in the fill), s >= env, the box and every packing-row sum.
 """
 
 from __future__ import annotations
@@ -48,7 +57,8 @@ from .errors import ConfigError, InvariantError
 from .dgbox import BoxInstance, double_greedy_box
 from .polytope import Polytope
 from .setfn import (EstimatorConfig, Point, SetFunction, default_config,
-                    max_singleton, multilinear, residual_gradient)
+                    max_singleton, multilinear, one_coordinate_gradient,
+                    residual_gradient)
 
 THETA_TOL = 1e-12
 STEP_LIMIT = 10_000  # Euler steps per run, so delta >= 1e-4
@@ -57,6 +67,19 @@ STEP_LIMIT = 10_000  # Euler steps per run, so delta >= 1e-4
 def default_theta_grid() -> tuple[float, ...]:
     """Multiples of 0.02 across [0, 1]; includes the tuned switch time 0.18."""
     return tuple(float(np.round(0.02 * i, 10)) for i in range(51))
+
+
+def _real(value, what: str) -> float:
+    """A real number as a plain float.  A bool, a string or None is rejected
+    with ``ConfigError``, never converted; the range is the caller's check."""
+    if isinstance(value, (np.integer, np.floating)):
+        value = value.item()
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int past the largest float
+        raise ConfigError(f"{what} is past the largest float") from None
 
 
 @dataclass(frozen=True)
@@ -74,6 +97,8 @@ class RunConfig:
     cfg: EstimatorConfig | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "alpha", _real(self.alpha, "alpha"))
+        object.__setattr__(self, "delta", _real(self.delta, "delta"))
         if not (0.5 <= self.alpha <= 1.0):
             raise ConfigError(f"alpha must lie in [1/2, 1], got {self.alpha}")
         if not (0.0 < self.delta <= 1.0):
@@ -87,7 +112,11 @@ class RunConfig:
         if self.theta_grid is None:
             grid = default_theta_grid()
         else:
-            grid = tuple(float(t) for t in self.theta_grid)
+            try:
+                grid = tuple(_real(t, "theta") for t in self.theta_grid)
+            except TypeError:
+                raise ConfigError("theta grid must be a sequence of numbers, got "
+                                  f"{self.theta_grid!r}") from None
             if not grid:
                 raise ConfigError("theta grid must not be empty")
         if list(grid) != sorted(set(grid)):
@@ -141,22 +170,22 @@ def _step(C: Polytope, run: RunConfig, S: np.ndarray, V: np.ndarray,
     Asserts each row's l-inf envelope s >= env[r], with no tolerance, and
     membership of every new iterate X = 1 - S in C, reporting a violation
     against thetas[r]; returns the new complements, the new iterates and
-    each row's envelope margin.
+    the envelope slack S - env of every coordinate of every row.
     """
     S = S * (1.0 - run.delta * V)
     slack = S - env[:, None]
-    margin = slack.min(axis=1)
-    if margin.min() < 0:
+    if slack.min() < 0:
+        margin = slack.min(axis=1)
         r = int(np.argmax(margin < 0))
         raise InvariantError("l-inf envelope violated", thetas[r], j + 1,
                              int(np.argmin(slack[r])), float(margin[r]))
     X = 1.0 - S
-    inside = C.contains_point(X)
-    if not np.all(inside):
+    inside = C._inside(X)
+    if not inside.all():
         r = int(np.argmin(inside))
         raise InvariantError("iterate left the constraint body", thetas[r], j + 1,
-                             int(np.argmin(slack[r])), float(margin[r]))
-    return S, X, margin
+                             int(np.argmin(slack[r])), float(slack[r].min()))
+    return S, X, slack
 
 
 def _direction(f: SetFunction, C: Polytope, cfg: EstimatorConfig,
@@ -180,9 +209,9 @@ def _stage(f: SetFunction, C: Polytope, run: RunConfig, theta: float,
         g, v = _direction(f, C, cfg, x, alpha, j)
         traj.add(j * run.delta, x, g, v)
         env *= shrink
-        S, X, margin = _step(C, run, s[None], v.v[None], np.array([env]), [theta], j)
+        S, X, slack = _step(C, run, s[None], v.v[None], np.array([env]), [theta], j)
         s, x = S[0], X[0]
-        traj.min_envelope_margin = min(traj.min_envelope_margin, float(margin[0]))
+        traj.min_envelope_margin = min(traj.min_envelope_margin, float(slack.min()))
     return x, traj
 
 
@@ -324,6 +353,9 @@ def solve(f: SetFunction, C: Polytope, run: RunConfig | None = None,
     """
     if run is None:
         run = RunConfig()
+    if C.n != f.n:
+        raise ValueError(f"the function has {f.n} elements but the body "
+                         f"{C.n} coordinates")
     cfg = run.resolve_cfg(f)
     T, grid = run.total_steps, run.theta_grid
     steps = [run.steps_of(t) for t in grid]
@@ -332,20 +364,34 @@ def solve(f: SetFunction, C: Polytope, run: RunConfig | None = None,
     # the batch: stage one's complement s = 1 - x in row 0 up to step K,
     # then the stage-two complement of every theta switched so far, in grid
     # order, and their points X = 1 - S; per row its envelope, the
-    # envelope's factor per step, its worst margin so far, and the theta a
-    # violation is reported against
+    # envelope's factor per step, the worst slack of each of its coordinates
+    # so far (a row's margin is their minimum), and the theta a violation is
+    # reported against
     S, X, thetas = np.ones((1, f.n)), np.zeros((1, f.n)), [grid[0]]
-    env, margin = np.ones(1), np.full(1, np.inf)
+    env, low = np.ones(1), np.full((1, f.n), np.inf)
     shrink = np.full(1, 1.0 - run.delta * run.alpha)
     branch = []  # per theta: x_theta, g and v_theta there, its box, stage-one margin
     boxes = {}   # per distinct box [0, p], keyed by p's bytes: (p, z, F(z))
     nxt = 0      # the first theta not switched yet
+    # the oracle's plans: the batch never holds more than a row per theta
+    # and stage one's, so each step's plan is the first rows of one of two
+    # built here, with row 0 capped at alpha while it is stage one's and
+    # every other row's cap 1
+    top = len(grid) + 1
+    capped = C._plan(np.concatenate([[run.alpha], np.ones(top - 1)]))
+    free = C._plan(np.ones(top))
+    shape, plan = None, None
     for j in range(T + 1):
         if j == T and K < T:
             break
         # at step T only stage one's last point, when theta 1 is on the grid;
         # in mc mode every row of step j draws from the one sub-stream (j,)
-        G = residual_gradient(f, X if j < T else X[:1], cfg.substream(j) if mc else cfg)
+        Xj = X if j < T else X[:1]
+        if cfg.mode == "closed":
+            G = f.closed_form_grad(Xj)
+        else:
+            G = one_coordinate_gradient(f, Xj, cfg.substream(j) if mc else cfg)
+        G = G * (1.0 - Xj)
         first = nxt
         while nxt < len(grid) and steps[nxt] == j:
             nxt += 1
@@ -355,10 +401,10 @@ def solve(f: SetFunction, C: Polytope, run: RunConfig | None = None,
             # uncapped, p, their fallback and stage two's first direction,
             # so each switching theta takes a copy of row 0 with cap 1
             G = np.concatenate([G, np.repeat(G[:1], new, axis=0)])
-        caps = np.ones(len(G))
-        if j <= K:  # row 0 is stage one's
-            caps[0] = run.alpha
-        D = C.linear_maximize(G, caps)
+        if shape != (len(G), j <= K):
+            shape = (len(G), j <= K)
+            plan = (capped if j <= K else free).head(len(G))
+        D = C._greedy_fill(G, plan)
         if new:
             v, key = Point.trusted(D[0].copy()), D[R].tobytes()
             if key not in boxes:
@@ -367,27 +413,27 @@ def solve(f: SetFunction, C: Polytope, run: RunConfig | None = None,
                 boxes[key] = (p, z, multilinear(f, z, cfg))
             for _ in range(first, nxt):
                 branch.append((Point.trusted(X[0].copy()), G[0], v, boxes[key],
-                               float(margin[0])))
+                               float(low[0].min())))
             if j < T:  # their stage-two rows, whose first directions are p;
                 # s and env both pass through t -> 1 - t, which is monotone
                 S = np.concatenate([S, np.repeat(1.0 - X[:1], new, axis=0)])
                 env = np.concatenate([env, np.full(new, 1.0 - (1.0 - env[0]))])
                 shrink = np.concatenate([shrink, np.full(new, 1.0 - run.delta)])
-                margin = np.concatenate([margin, np.full(new, np.inf)])
+                low = np.concatenate([low, np.full((new, f.n), np.inf)])
                 thetas += grid[first:nxt]
         if j == T:
             break
         if j == K:  # stage one ends at the last theta
-            S, D, env, shrink, margin = S[1:], D[1:], env[1:], shrink[1:], margin[1:]
+            S, D, env, shrink, low = S[1:], D[1:], env[1:], shrink[1:], low[1:]
             thetas = thetas[1:]
         elif j < K:  # report stage one's step against the next theta
             thetas[0] = grid[nxt]
         env = env * shrink
-        S, X, M = _step(C, run, S, D, env, thetas, j)
-        margin = np.minimum(margin, M)
+        S, X, slack = _step(C, run, S, D, env, thetas, j)
+        np.minimum(low, slack, out=low)
     per_theta = []
     two = sum(k < T for k in steps)
-    rows = iter(zip(X[len(X) - two:], margin[len(X) - two:]))
+    rows = iter(zip(X[len(X) - two:], low[len(X) - two:].min(axis=1)))
     for theta, k, (x_theta, g, v, (p, z, z_value), dampened_margin) \
             in zip(grid, steps, branch):
         y, standard_margin = next(rows) if k < T else (x_theta.v, np.inf)

@@ -18,6 +18,17 @@ budget, taken over the whole batch at once, and one gather puts every fill
 back at its coordinate; membership adds each packing row's terms over its
 real places only, row by row.
 
+Each public call checks its inputs (shapes, caps) and then runs a kernel on
+plain arrays; the Euler loop of ``cgreedy.solve`` runs the same kernels on
+arrays it built, without the public checks.  The oracle is two kernels:
+``_plan(caps)`` builds what depends only on the body and the batch's caps
+(each row's cap, the flat sort offsets, and on unit costs each row's fill
+table), once per batch shape, and ``_greedy_fill(W, plan)`` runs the greedy
+on the weights, checking on every call that they are finite.
+``linear_maximize`` is the checks, a plan and the fill, so the public call
+and the loop share one fill path.  ``_inside(X)`` is membership's kernel:
+the box test and every packing-row sum, on every row of every call.
+
 ``_grid`` also records two facts about the body, and the oracle and
 membership skip what they fix; each shortcut returns the same bytes as the
 general path:
@@ -30,8 +41,10 @@ general path:
   budget - alpha - alpha - ... without a product, and nothing can
   overflow.  The first place with less than alpha left takes all of it,
   min(left, alpha) * 1 = left, so no rounding leftover carries on: every
-  fill is the left budget clipped to [0, alpha] at a positive weight.
-  Membership adds x_i where the general path adds x_i * 1.0 = x_i.
+  fill is the left budget clipped to [0, alpha] at a positive weight; the
+  plan holds these clipped budgets, so the fill is the plan's table times
+  (sorted w > 0).  Membership adds x_i where the general path adds
+  x_i * 1.0 = x_i.
 - ``ident``: one packing row over 0..n-1 in order and no dummy places
   (cardinality, a knapsack).  The places are the coordinates, so the
   gather of the weights or the point into places and the final gather of
@@ -79,6 +92,21 @@ class _Grid(NamedTuple):
     ident: bool              # one packing row over 0..n-1, no dummy places
 
 
+class _Plan(NamedTuple):
+    """What the fill of an (R, n) weight batch reads that depends only on
+    the body and the batch's caps, not on the weights."""
+
+    caps: np.ndarray          # (R, 1, 1): each batch row's cap
+    offsets: np.ndarray       # each sorted row's first flat place in the batch
+    table: np.ndarray | None  # unit costs: the (R, rows, g) fill of each sorted
+    #                           place at a positive weight
+    costs: np.ndarray | None  # other costs: each place's cost, (R, rows * g)
+
+    def head(self, R: int) -> "_Plan":
+        """The plan of the batch's first R rows: every field is per row."""
+        return _Plan(*(None if f is None else f[:R] for f in self))
+
+
 class Polytope:
     """{ x in [0,1]^n : <costs, x[indices]> <= budget for every row }; each
     subclass builds ``rows``, a list of (indices, costs, budget) with disjoint
@@ -108,9 +136,7 @@ class Polytope:
                              f"row ({len(W)} rows), got {alpha!r}")
         if not len(W):
             return np.zeros((0, self.n))
-        if not np.abs(W).max() < np.inf:
-            raise ValueError("weights must be finite")
-        c = self._greedy_fill(W, np.full(len(W), caps, dtype=float))
+        c = self._greedy_fill(W, self._plan(np.full(len(W), caps, dtype=float)))
         return Point.trusted(c[0]) if wv.ndim == 1 else c
 
     @cached_property
@@ -142,15 +168,42 @@ class Polytope:
                      ident=real.size == g == self.n
                      and bool((coords == np.arange(self.n)).all()))
 
-    def _greedy_fill(self, W: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    def _plan(self, caps: np.ndarray) -> _Plan:
+        # The fill's set-up for a batch of len(caps) rows, row r capped at
+        # caps[r]: built once, read by every fill of a batch of that shape
+        # (and by one of its first R rows, through ``head``).
+        # On unit costs every fill at a positive weight is the budget left
+        # before its place while every fill is the cap, clipped to [0, cap]:
+        # the positive weights are a prefix of each sorted packing row and
+        # the left budget only falls, so the first place with less than the
+        # cap left takes all of it and every later place has nothing left
+        grid = self._grid
+        R, S = caps.size, grid.budgets.size
+        g = grid.coords.size // S
+        a = caps.reshape(R, 1, 1)
+        if not grid.unit:  # one sorted row per batch row
+            return _Plan(a, np.arange(0, R * S * g, S * g)[:, None], None,
+                         np.tile(grid.costs, (R, 1)))
+        rem = np.empty((R, S, g + 1))
+        rem[:, :, 0] = grid.budgets
+        rem[:, :, 1:] = a
+        np.subtract.accumulate(rem, axis=2, out=rem)
+        table = np.minimum(rem[:, :, :-1], a)
+        np.maximum(table, 0.0, out=table)
+        return _Plan(a, np.arange(0, R * S * g, g).reshape(R, S, 1), table, None)
+
+    def _greedy_fill(self, W: np.ndarray, plan: _Plan) -> np.ndarray:
         # The capped fractional-knapsack greedy on every packing row of every
         # batch row r: take the entries by w/cost descending, filling
         # min(alpha_r, remaining/cost) until the budget or the positive
         # weights run out.  One stable sort per batch row ranks every packing
         # row at once, positive weights first, ties to the lower index.  No
         # Python loop walks the entries: every packing row of the batch is
-        # one row of an (R, rows, g) array of places in that order.  W is
-        # only read, never written.
+        # one row of an (R, rows, g) array of places in that order.  W, an
+        # (R, n) batch of the plan's shape, is only read, never written; its
+        # finiteness is checked here, on every call.
+        if not np.abs(W).max() < np.inf:
+            raise ValueError("weights must be finite")
         grid = self._grid
         R, S = len(W), grid.budgets.size
         g = grid.coords.size // S
@@ -161,9 +214,11 @@ class Polytope:
             wr[:, grid.dummies] = 0.0
         if grid.unit:
             # a unit cost's ratio is the weight itself: rank by -w, which
-            # puts every nonpositive weight after the positive ones
+            # puts every nonpositive weight after the positive ones; every
+            # fill is the plan's at a positive weight
             order = np.argsort(-wr.reshape(R, S, g), axis=2, kind="stable")
-            order += np.arange(0, R * S * g, g).reshape(R, S, 1)
+            order += plan.offsets
+            fills = plan.table * (wr.take(order) > 0)
         else:
             # by row, then w/cost descending: the ratio is ranked by its
             # exact exponent and its correctly rounded mantissa (negated, so
@@ -171,26 +226,14 @@ class Polytope:
             # ratios rank as their float quotients do
             mw, ew = np.frexp(wr)
             m, e = np.frexp(mw / grid.neg_mc)
-            order = np.lexsort((m, np.where(wr > 0, grid.origin - ew - e, grid.end)),
-                               axis=1)
-            order += np.arange(0, R * S * g, S * g)[:, None]  # flat batch places
-        w = wr.take(order).reshape(R, S, g)
-        a, pos = alpha[:, None, None], w > 0
-        rem = np.empty((R, S, g + 1))
-        rem[:, :, 0] = grid.budgets
-        if grid.unit:
-            # the budget left before each place while every fill is alpha_r,
-            # as the general path below computes it, is also the ratio.  The
-            # positive weights are a prefix of each packing row and rem falls
-            # by alpha_r a place, so the first place with less than alpha_r
-            # left takes all of it and every later place has rem < 0
-            rem[:, :, 1:] = a
-            np.subtract.accumulate(rem, axis=2, out=rem)
-            fills = np.minimum(rem[:, :, :-1], a)
-            np.maximum(fills, 0.0, out=fills)
-            fills *= pos
-        else:
-            c = grid.costs.take(order, mode="wrap").reshape(R, S, g)
+            pos = wr > 0
+            order = np.lexsort((m, np.where(pos, grid.origin - ew - e, grid.end)), axis=1)
+            order += plan.offsets
+            pos = pos.take(order).reshape(R, S, g)
+            c = plan.costs.take(order).reshape(R, S, g)
+            a = plan.caps
+            rem = np.empty((R, S, g + 1))
+            rem[:, :, 0] = grid.budgets
             fills = np.zeros((R, S, g))
             upto = np.empty((R, S, g + 1), dtype=bool)
             with np.errstate(over="ignore"):
@@ -213,13 +256,13 @@ class Polytope:
                 # carries on to the next place of its packing row
                 part = take ^ upto[:, :, 1:]
                 part &= left > fills * c
-                if part.any():
+                q = np.flatnonzero(part)
+                if q.size:
                     # the greedy itself, one place at a time over the packing
                     # rows that carry, at flat places q up to their row's end
-                    q = np.flatnonzero(part)
                     flat_c, flat_pos, flat_fills = c.ravel(), pos.ravel(), fills.ravel()
                     left = rem.reshape(-1, g + 1)[q // g, q % g] - flat_fills[q] * flat_c[q]
-                    q, stop, aq = q + 1, (q // g + 1) * g, alpha[q // (S * g)]
+                    q, stop, aq = q + 1, (q // g + 1) * g, a.ravel()[q // (S * g)]
                     while q.size:
                         go = (left > 0) & (q < stop) & flat_pos.take(q, mode="clip")
                         q, stop, left, aq = q[go], stop[go], left[go], aq[go]
@@ -238,21 +281,26 @@ class Polytope:
         """Whether x satisfies every defining inequality within tolerance;
         for an (R, n) batch, an (R,) array of the answers row by row."""
         xv = _points(self.n, x)
-        X = np.atleast_2d(xv)
-        inside = ((X.min(axis=1) >= -FEAS_TOL) & (X.max(axis=1) <= 1.0 + FEAS_TOL)
-                  & self._satisfies(X))
+        inside = self._inside(np.atleast_2d(xv))
         return inside if xv.ndim == 2 else bool(inside[0])
 
-    def _satisfies(self, X: np.ndarray) -> np.ndarray:
-        # each packing row's sum <cost_b, x_b> of every batch row, added in
-        # the row's own order over its real places only (a padded sum would
-        # regroup the terms), so no answer depends on the other batch rows
+    def _inside(self, X: np.ndarray) -> np.ndarray:
+        # the membership of every row of an (R, n) batch, as one row of
+        # tests each: every coordinate in the box, and every packing row's
+        # sum <cost_b, x_b> within its budget.  Each sum is added in the
+        # row's own order over its real places only (a padded sum would
+        # regroup the terms), so no answer depends on the other batch rows.
+        # A product or sum past the largest float is inf, and one of inf and
+        # -inf NaN, and either fails its budget, silently
         grid = self._grid
         terms = X if grid.ident else X[:, grid.real_coords]
-        if not grid.unit:
-            terms = terms * grid.real_costs
-        sums = np.add.reduceat(terms, grid.starts, axis=1)
-        return (sums <= grid.limits).all(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not grid.unit:
+                terms = terms * grid.real_costs
+            sums = np.add.reduceat(terms, grid.starts, axis=1)
+        tests = np.concatenate([X >= -FEAS_TOL, X <= 1.0 + FEAS_TOL,
+                                sums <= grid.limits], axis=1)
+        return tests.all(axis=1)
 
     def describe(self) -> str:
         return self.kind

@@ -100,11 +100,14 @@ class Point:
         v = np.array(coords, dtype=float)
         if v.ndim != 1 or v.size == 0:
             raise ValueError("a point is a nonempty 1-d vector")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("point coordinates must be finite")
-        if v.min() < -COORD_TOL or v.max() > 1.0 + COORD_TOL:
+        lo, hi = v.min(), v.max()
+        # a NaN fails both comparisons, an infinity the one on its side
+        if not (lo >= -COORD_TOL and hi <= 1.0 + COORD_TOL):
+            if not np.all(np.isfinite(v)):
+                raise ValueError("point coordinates must be finite")
             raise ValueError(f"coordinates outside [0,1] beyond tolerance: {v}")
-        np.clip(v, 0.0, 1.0, out=v)
+        if lo < 0.0 or hi > 1.0:
+            np.clip(v, 0.0, 1.0, out=v)
         v.flags.writeable = False
         self.v = v
 

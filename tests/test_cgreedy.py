@@ -70,6 +70,25 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(delta=0.25, theta_grid=(0.5, 0.25))
 
+    @pytest.mark.parametrize("kwargs", [
+        {"alpha": "0.7"}, {"alpha": None}, {"alpha": True}, {"alpha": [0.7]},
+        {"delta": "0.01"}, {"delta": None}, {"delta": False},
+        {"theta_grid": (True,)}, {"theta_grid": ("0.5",)}, {"theta_grid": (0.0, None)},
+        {"theta_grid": 0.5}, {"alpha": 10**400},
+    ], ids=["alpha-str", "alpha-none", "alpha-bool", "alpha-list", "delta-str",
+            "delta-none", "delta-bool", "theta-bool", "theta-str", "theta-none",
+            "grid-not-a-sequence", "alpha-past-float"])
+    def test_non_real_numbers_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            RunConfig(**kwargs)
+
+    def test_numbers_are_stored_as_plain_floats(self):
+        run = RunConfig(alpha=np.float32(0.75), delta=np.float64(0.25),
+                        theta_grid=[np.int64(0), 0.5, 1])
+        assert (run.alpha, run.delta, run.theta_grid) == (0.75, 0.25, (0.0, 0.5, 1.0))
+        assert all(type(v) is float for v in (run.alpha, run.delta, *run.theta_grid))
+        assert type(RunConfig(alpha=1).alpha) is float
+
 
 class TestDampenedStage:
     def test_single_step_hand_trace(self, one_arc_k1):
@@ -324,6 +343,12 @@ _EQUIVALENCE_CASES = [(kind, body, mode) for kind in _FUNCTIONS
 
 
 class TestSinglePassSweep:
+    def test_body_of_another_size_rejected(self):
+        # checked once per solve, as the loop's kernels do not check shapes
+        f = sm.DirectedCut(3, [(0, 1, 1.0)])
+        with pytest.raises(ValueError, match="3 elements but the body 4"):
+            sm.solve(f, sm.CardinalityPolytope(4, 1), RunConfig(delta=0.25, theta_grid=(0.0,)))
+
     @pytest.mark.parametrize("kind,body,mode", _EQUIVALENCE_CASES)
     def test_matches_per_theta_composition(self, kind, body, mode):
         rng = np.random.default_rng(zlib.crc32(f"{kind}/{body}".encode()))
@@ -356,15 +381,16 @@ class TestSinglePassSweep:
         (RunConfig(delta=0.05, theta_grid=(0.0, 0.25, 0.5)), 53),
     ], ids=["default", "grid-ends-before-one"])
     def test_one_gradient_per_distinct_point(self, monkeypatch, run, rows):
+        # counted at the closed-form gradient kernel the sweep calls
         f, C = sm.gen("coverage", 12, "knapsack", 5).build()
         points = []
-        inner = setfn.gradient
+        inner = sm.Coverage.closed_form_grad
 
-        def counted(f, x, cfg=None):
+        def counted(self, x):
             points.extend(row.tobytes() for row in np.atleast_2d(x))
-            return inner(f, x, cfg)
+            return inner(self, x)
 
-        monkeypatch.setattr(setfn, "gradient", counted)
+        monkeypatch.setattr(sm.Coverage, "closed_form_grad", counted)
         sm.solve(f, C, run)
         T = run.total_steps
         steps = [run.steps_of(t) for t in run.theta_grid]
@@ -462,17 +488,18 @@ class TestAnalyticGradientSolve:
 
 
 class _UncappedOracle(sm.CardinalityPolytope):
-    """Ignores the cap, so stage one outgrows its l-inf envelope."""
+    """Plans every oracle batch with cap 1 whatever its caps, so stage one
+    outgrows its l-inf envelope."""
 
-    def linear_maximize(self, w, alpha=1.0):
-        return sm.Polytope.linear_maximize(self, w)
+    def _plan(self, caps):
+        return sm.Polytope._plan(self, np.ones_like(caps))
 
 
 class _EmptyBody(sm.CardinalityPolytope):
-    """Reports every fractional point as outside the body."""
+    """Reports every row of a membership batch as outside the body."""
 
-    def contains_point(self, x):
-        return False
+    def _inside(self, X):
+        return np.zeros(len(X), dtype=bool)
 
 
 class _ExcludesOnePoint(sm.CardinalityPolytope):
@@ -483,8 +510,8 @@ class _ExcludesOnePoint(sm.CardinalityPolytope):
         super().__init__(n, k)
         self.point = point
 
-    def _satisfies(self, X):
-        return super()._satisfies(X) & ~np.all(X == self.point, axis=1)
+    def _inside(self, X):
+        return super()._inside(X) & ~np.all(X == self.point, axis=1)
 
 
 def _stage_two_point(f, C, run, theta, step):
@@ -517,8 +544,8 @@ def _hold_at_cap(run, cap, steps):
     margins = []
     for j in range(steps):
         env = env * (1.0 - run.delta * cap)
-        S, _, margin = cgreedy._step(C, run, S, V, env, [0.0], j)
-        margins.append(float(margin[0]))
+        S, _, slack = cgreedy._step(C, run, S, V, env, [0.0], j)
+        margins.append(float(slack.min()))
     return margins
 
 
@@ -581,9 +608,9 @@ class TestInvariantError:
         f, C = sm.parse_instance(inst.read_text()).build()
         run = RunConfig(delta=0.25, theta_grid=(0.0, 0.5))
         y, i, _ = _stage_two_point(f, C, run, 0.5, 3)
-        satisfies = sm.CardinalityPolytope._satisfies
-        monkeypatch.setattr(sm.CardinalityPolytope, "_satisfies", lambda self, X:
-                            satisfies(self, X) & ~np.all(X == y, axis=1))
+        inside = sm.CardinalityPolytope._inside
+        monkeypatch.setattr(sm.CardinalityPolytope, "_inside", lambda self, X:
+                            inside(self, X) & ~np.all(X == y, axis=1))
         assert main(["solve", str(inst), "--delta", "0.25",
                      "--theta-grid", "0,0.5", "--no-opt"]) == 2
         err = capsys.readouterr().err
@@ -591,8 +618,8 @@ class TestInvariantError:
         assert f"theta 0.5, step 3, coordinate {i}" in err
 
     @pytest.mark.parametrize("attr,stub", [
-        ("linear_maximize", _UncappedOracle.linear_maximize),
-        ("contains_point", _EmptyBody.contains_point),
+        ("_plan", _UncappedOracle._plan),
+        ("_inside", _EmptyBody._inside),
     ], ids=["envelope", "body"])
     def test_cli_reports_error_and_exits_2(self, tmp_path, capsys, monkeypatch,
                                           attr, stub):
@@ -634,7 +661,8 @@ def test_batch_kernels_solve_as_the_reference_kernels(body, monkeypatch):
     monkeypatch.setattr(sm.Coverage, "closed_form_grad", reference_coverage_grad)
     monkeypatch.setattr(sm.Coverage, "closed_form_partial", reference_coverage_partial)
     monkeypatch.setattr(sm.Coverage, "closed_form_batch", reference_coverage_batch)
-    monkeypatch.setattr(sm.polytope.Polytope, "_greedy_fill", reference_greedy_fill)
+    monkeypatch.setattr(sm.polytope.Polytope, "_greedy_fill", lambda C, W, plan:
+                        reference_greedy_fill(C, W, plan.caps.ravel()))
     f, C = inst.build()
     assert _report_bytes(got) == _report_bytes(sm.solve(f, C, RunConfig(), opt))
 
@@ -670,3 +698,18 @@ def test_solve_outputs_match_their_pinned_digests(kind, body):
     report = sm.solve(f, C, RunConfig(delta=0.01))
     digest = hashlib.sha256(repr(_report_bytes(report)).encode()).hexdigest()
     assert digest == PINNED_DIGESTS[kind, body]
+
+
+# sha256 over repr(_report_bytes(report)) of every solve of desk corpus 1, in
+# corpus order, at the default run with the brute-force optimum, so that the
+# diagnostics are covered too
+DESK_CORPUS_1_DIGEST = "4737662135e0377b435e70cd73835f38f24ddcdc807edfb59f02a38c709880a8"
+
+
+def test_desk_corpus_solves_match_their_pinned_digest():
+    digest = hashlib.sha256()
+    for inst in sm.desk_corpus(1):
+        f, C = inst.build()
+        _, opt = sm.brute_force_opt(f, C)
+        digest.update(repr(_report_bytes(sm.solve(f, C, RunConfig(), opt))).encode())
+    assert digest.hexdigest() == DESK_CORPUS_1_DIGEST

@@ -2,6 +2,7 @@
 
 import copy
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -310,6 +311,23 @@ class TestContains:
         got = C.contains_point(X)
         assert got.tolist() == [C.contains_point(x) for x in X]
 
+    @pytest.mark.parametrize("C, x", [
+        (sm.KnapsackPolytope(3, [3.0, 1.0, 1.0], 2.0), [1.7e308, 0.0, 0.0]),
+        (sm.KnapsackPolytope(3, [3.0, 1.0, 1.0], 2.0), [-1.7e308, 0.0, 0.0]),
+        (sm.PartitionMatroidPolytope(3, [[0, 1], [2]], [1, 1]), [1.7e308, 1.7e308, 0.0]),
+        (sm.PartitionMatroidPolytope(3, [[0, 1], [2]], [1, 1]), [np.inf, -np.inf, 0.0]),
+        (sm.CardinalityPolytope(3, 1), [1.7e308, 1.7e308, 1.7e308]),
+    ], ids=["knapsack-product", "knapsack-negative", "partition-sum",
+            "partition-inf-minus-inf", "cardinality-sum"])
+    def test_huge_coordinates_are_outside_without_a_warning(self, C, x):
+        # a product or sum past the largest float is outside, one point at
+        # a time and in a batch beside a point inside
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert C.contains_point(x) is False
+            assert C.contains_point(np.array([x, [0.1, 0.1, 0.1]])).tolist() \
+                == [False, True]
+
 
 class TestConstruction:
     @pytest.mark.parametrize("n", [2.7, 2.0, "3", True, 0])
@@ -423,6 +441,12 @@ def test_down_closedness_probe(seed, n):
         assert C.contains_point(x * rng.random(n))
 
 
+def plan_and_fill(C, W, alpha):
+    """The fill of W as the sweep runs it: a plan for the caps, then the
+    fill kernel."""
+    return C._greedy_fill(W, C._plan(alpha))
+
+
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
        R=st.sampled_from([1, 2, 7, 52]),
        body=st.sampled_from(["cardinality", "partition", "knapsack"]),
@@ -456,7 +480,7 @@ def test_greedy_fill_matches_the_per_row_walk(seed, n, R, body, tied, exact):
     else:
         blocks = np.array_split(rng.permutation(n), int(rng.integers(1, min(3, n) + 1)))
         C = sm.PartitionMatroidPolytope(n, blocks, [budget(np.ones(b.size)) for b in blocks])
-    got = C._greedy_fill(W, alpha)
+    got = plan_and_fill(C, W, alpha)
     assert got.tobytes() == reference_greedy_fill(C, W, alpha).tobytes()
 
 
@@ -519,11 +543,11 @@ class TestShortcuts:
         want = reference_greedy_fill(C, W, alpha)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert C._greedy_fill(W, alpha).tobytes() == want.tobytes()
+            assert plan_and_fill(C, W, alpha).tobytes() == want.tobytes()
             assert C.linear_maximize(W, alpha).tobytes() == want.tobytes()
             for w, a, row in zip(W, alpha, want):
                 assert C.linear_maximize(w, a).v.tobytes() == row.tobytes()
-        assert general_path(C)._greedy_fill(W, alpha).tobytes() == want.tobytes()
+        assert plan_and_fill(general_path(C), W, alpha).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("name", SHORTCUT_BODIES)
     def test_membership_matches_the_general_path(self, name):
@@ -555,3 +579,71 @@ class TestShortcuts:
         C.contains_point(X)
         C.contains_point(X[4])
         assert X.tobytes() == X_before.tobytes()
+
+
+LOOP_BODIES = {
+    "cardinality": lambda: sm.CardinalityPolytope(9, 2.5),
+    "partition-shuffled-blocks": lambda: sm.PartitionMatroidPolytope(
+        9, [[7, 2, 4], [0, 8, 5, 1], [6, 3]], [1.5, 0.7, 1.0]),
+    "knapsack": lambda: sm.KnapsackPolytope(
+        9, [0.5, 1.0, 2.0, 1.0, 0.25, 3.0, 1.5, 0.7, 1.1], 2.9),
+}
+
+
+def loop_weights(rng, R, n):
+    """R weight rows of every kind the sweep can meet: random, tied, rounded,
+    all zero and extreme, in a random mix."""
+    kinds = [rng.normal(size=(R, n)),
+             np.round(rng.normal(size=(R, n)) * 2.0) / 2.0,
+             np.round(rng.normal(size=(R, n)), 2),
+             np.zeros((R, n)),
+             rng.choice(EXTREME_WEIGHTS, (R, n))]
+    return np.stack(kinds)[rng.integers(0, len(kinds), R), np.arange(R)]
+
+
+class TestLoopPath:
+    """The sweep's oracle, a plan per batch shape read by the fill kernel,
+    against the public ``linear_maximize`` and the per-row walk."""
+
+    @pytest.mark.parametrize("name", LOOP_BODIES)
+    def test_plan_and_fill_match_linear_maximize(self, name):
+        C = LOOP_BODIES[name]()
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
+        for R in range(1, 61):
+            W = loop_weights(rng, R, C.n)
+            alpha = float(rng.choice([0.5, 0.7, 1.0]))
+            for caps in (alpha, rng.choice([alpha, 1.0], R), rng.uniform(1e-3, 1.0, R)):
+                want = reference_greedy_fill(C, W, np.full(R, caps, dtype=float))
+                got = C._greedy_fill(W, C._plan(np.full(R, caps, dtype=float)))
+                assert got.tobytes() == want.tobytes(), (R, caps)
+                assert C.linear_maximize(W, caps).tobytes() == want.tobytes(), (R, caps)
+
+    @pytest.mark.parametrize("name", LOOP_BODIES)
+    def test_a_plan_grows_as_rows_join(self, name):
+        # the sweep's plans: the first R rows of the plans of its largest
+        # batch, row 0 capped at alpha while it is stage one's, as rows join
+        # and, after the last switch, row 0 leaves
+        C = LOOP_BODIES[name]()
+        rng = np.random.default_rng(7)
+        top, alpha = 52, 0.5
+        capped = C._plan(np.concatenate([[alpha], np.ones(top - 1)]))
+        free = C._plan(np.ones(top))
+        for R, stage_one in [(1, True), (2, True), (5, True), (6, True), (30, True),
+                             (52, True), (51, False), (20, False), (1, False)]:
+            caps = np.ones(R)
+            caps[0] = alpha if stage_one else 1.0
+            W = loop_weights(rng, R, C.n)
+            got = C._greedy_fill(W, (capped if stage_one else free).head(R))
+            assert got.tobytes() == C.linear_maximize(W, caps).tobytes(), R
+            assert got.tobytes() == reference_greedy_fill(C, W, caps).tobytes(), R
+
+    @pytest.mark.parametrize("name", LOOP_BODIES)
+    def test_fill_rejects_nonfinite_weights(self, name):
+        # the loop calls the fill directly, so the fill checks every call
+        C = LOOP_BODIES[name]()
+        plan = C._plan(np.ones(3))
+        for bad in (np.inf, -np.inf, np.nan):
+            W = np.ones((3, C.n))
+            W[2, 4] = bad
+            with pytest.raises(ValueError, match="finite"):
+                C._greedy_fill(W, plan)

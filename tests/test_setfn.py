@@ -512,6 +512,20 @@ class TestPoint:
         with pytest.raises(ValueError):
             Point([1.1, 0.0])
 
+    @pytest.mark.parametrize("coords, message", [
+        ([0.5, np.nan], "finite"), ([np.inf, 0.5], "finite"), ([0.5, -np.inf], "finite"),
+        ([2.0, np.nan], "finite"), ([0.5, -1e-3], "beyond tolerance"),
+    ])
+    def test_rejected_coordinates(self, coords, message):
+        with pytest.raises(ValueError, match=message):
+            Point(coords)
+
+    def test_coordinates_in_the_box_are_kept_bit_for_bit(self):
+        # only a coordinate outside [0, 1] is clipped; -0.0 stays -0.0
+        p = Point([-0.0, 0.25, 1.0])
+        assert np.signbit(p.v).tolist() == [True, False, False]
+        assert not p.v.flags.writeable
+
     def test_operations(self):
         assert Point([0.2, 0.8]).norm_inf() == 0.8
 
