@@ -165,14 +165,15 @@ class Trajectory:
 
 def _step(C: Polytope, run: RunConfig, S: np.ndarray, V: np.ndarray,
           env: np.ndarray, thetas: list[float], j: int):
-    """Euler step j -> j+1 of every row, on its complement: S o (1 - delta*V).
+    """Euler step j -> j+1 of every row, on its complement, in place:
+    S <- S o (1 - delta*V).
 
     Asserts each row's l-inf envelope s >= env[r], with no tolerance, and
     membership of every new iterate X = 1 - S in C, reporting a violation
-    against thetas[r]; returns the new complements, the new iterates and
-    the envelope slack S - env of every coordinate of every row.
+    against thetas[r]; returns the new iterates and the envelope slack
+    S - env of every coordinate of every row.
     """
-    S = S * (1.0 - run.delta * V)
+    S *= 1.0 - run.delta * V
     slack = S - env[:, None]
     if slack.min() < 0:
         margin = slack.min(axis=1)
@@ -185,7 +186,7 @@ def _step(C: Polytope, run: RunConfig, S: np.ndarray, V: np.ndarray,
         r = int(np.argmin(inside))
         raise InvariantError("iterate left the constraint body", thetas[r], j + 1,
                              int(np.argmin(slack[r])), float(slack[r].min()))
-    return S, X, slack
+    return X, slack
 
 
 def _direction(f: SetFunction, C: Polytope, cfg: EstimatorConfig,
@@ -209,8 +210,8 @@ def _stage(f: SetFunction, C: Polytope, run: RunConfig, theta: float,
         g, v = _direction(f, C, cfg, x, alpha, j)
         traj.add(j * run.delta, x, g, v)
         env *= shrink
-        S, X, slack = _step(C, run, s[None], v.v[None], np.array([env]), [theta], j)
-        s, x = S[0], X[0]
+        X, slack = _step(C, run, s[None], v.v[None], np.array([env]), [theta], j)
+        x = X[0]
         traj.min_envelope_margin = min(traj.min_envelope_margin, float(slack.min()))
     return x, traj
 
@@ -366,18 +367,22 @@ def solve(f: SetFunction, C: Polytope, run: RunConfig | None = None,
     # order, and their points X = 1 - S; per row its envelope, the
     # envelope's factor per step, the worst slack of each of its coordinates
     # so far (a row's margin is their minimum), and the theta a violation is
-    # reported against
-    S, X, thetas = np.ones((1, f.n)), np.zeros((1, f.n)), [grid[0]]
-    env, low = np.ones(1), np.full((1, f.n), np.inf)
-    shrink = np.full(1, 1.0 - run.delta * run.alpha)
+    # reported against.  The batch never holds more than stage one's row and
+    # one row per theta, so each of these lives in rows lo..hi-1 of a buffer
+    # of that many rows, and a switching theta fills the next free rows.
+    top, n = len(grid) + 1, f.n
+    S_rows, env_rows = np.ones((top, n)), np.ones(top)
+    low_rows = np.full((top, n), np.inf)
+    shrink = np.full(top, 1.0 - run.delta)
+    shrink[0] = 1.0 - run.delta * run.alpha
+    G_rows = np.empty((top, n))  # the step's oracle weights
+    lo, hi, X, thetas = 0, 1, np.zeros((1, n)), [grid[0]]
     branch = []  # per theta: x_theta, g and v_theta there, its box, stage-one margin
     boxes = {}   # per distinct box [0, p], keyed by p's bytes: (p, z, F(z))
     nxt = 0      # the first theta not switched yet
-    # the oracle's plans: the batch never holds more than a row per theta
-    # and stage one's, so each step's plan is the first rows of one of two
+    # the oracle's plans: each step's plan is the first rows of one of two
     # built here, with row 0 capped at alpha while it is stage one's and
     # every other row's cap 1
-    top = len(grid) + 1
     capped = C._plan(np.concatenate([[run.alpha], np.ones(top - 1)]))
     free = C._plan(np.ones(top))
     shape, plan = None, None
@@ -388,19 +393,20 @@ def solve(f: SetFunction, C: Polytope, run: RunConfig | None = None,
         # in mc mode every row of step j draws from the one sub-stream (j,)
         Xj = X if j < T else X[:1]
         if cfg.mode == "closed":
-            G = f.closed_form_grad(Xj)
+            grad = f.closed_form_grad(Xj)
         else:
-            G = one_coordinate_gradient(f, Xj, cfg.substream(j) if mc else cfg)
-        G = G * (1.0 - Xj)
+            grad = one_coordinate_gradient(f, Xj, cfg.substream(j) if mc else cfg)
         first = nxt
         while nxt < len(grid) and steps[nxt] == j:
             nxt += 1
-        new, R = nxt - first, len(G)
+        new, R = nxt - first, len(grad)
+        G = G_rows[:R + new]
+        np.multiply(grad, 1.0 - Xj, out=G[:R])
         if new:
             # thetas switch at x(j): stage one's gradient there also gives,
             # uncapped, p, their fallback and stage two's first direction,
             # so each switching theta takes a copy of row 0 with cap 1
-            G = np.concatenate([G, np.repeat(G[:1], new, axis=0)])
+            G[R:] = G[0]
         if shape != (len(G), j <= K):
             shape = (len(G), j <= K)
             plan = (capped if j <= K else free).head(len(G))
@@ -412,28 +418,27 @@ def solve(f: SetFunction, C: Polytope, run: RunConfig | None = None,
                 z = _fallback(f, cfg, p)
                 boxes[key] = (p, z, multilinear(f, z, cfg))
             for _ in range(first, nxt):
-                branch.append((Point.trusted(X[0].copy()), G[0], v, boxes[key],
-                               float(low[0].min())))
+                branch.append((Point.trusted(X[0].copy()), G[0].copy(), v, boxes[key],
+                               float(low_rows[0].min())))
             if j < T:  # their stage-two rows, whose first directions are p;
                 # s and env both pass through t -> 1 - t, which is monotone
-                S = np.concatenate([S, np.repeat(1.0 - X[:1], new, axis=0)])
-                env = np.concatenate([env, np.full(new, 1.0 - (1.0 - env[0]))])
-                shrink = np.concatenate([shrink, np.full(new, 1.0 - run.delta)])
-                low = np.concatenate([low, np.full((new, f.n), np.inf)])
+                S_rows[hi:hi + new] = 1.0 - X[0]
+                env_rows[hi:hi + new] = 1.0 - (1.0 - env_rows[0])
+                hi += new
                 thetas += grid[first:nxt]
         if j == T:
             break
         if j == K:  # stage one ends at the last theta
-            S, D, env, shrink, low = S[1:], D[1:], env[1:], shrink[1:], low[1:]
-            thetas = thetas[1:]
+            lo, D, thetas = 1, D[1:], thetas[1:]
         elif j < K:  # report stage one's step against the next theta
             thetas[0] = grid[nxt]
-        env = env * shrink
-        S, X, slack = _step(C, run, S, D, env, thetas, j)
-        np.minimum(low, slack, out=low)
+        env = env_rows[lo:hi]
+        np.multiply(env, shrink[lo:hi], out=env)
+        X, slack = _step(C, run, S_rows[lo:hi], D, env, thetas, j)
+        np.minimum(low_rows[lo:hi], slack, out=low_rows[lo:hi])
     per_theta = []
     two = sum(k < T for k in steps)
-    rows = iter(zip(X[len(X) - two:], low[len(X) - two:].min(axis=1)))
+    rows = iter(zip(X[len(X) - two:], low_rows[hi - two:hi].min(axis=1)))
     for theta, k, (x_theta, g, v, (p, z, z_value), dampened_margin) \
             in zip(grid, steps, branch):
         y, standard_margin = next(rows) if k < T else (x_theta.v, np.inf)

@@ -104,7 +104,10 @@ class _Plan(NamedTuple):
 
     def head(self, R: int) -> "_Plan":
         """The plan of the batch's first R rows: every field is per row."""
-        return _Plan(*(None if f is None else f[:R] for f in self))
+        table, costs = self.table, self.costs
+        return _Plan(self.caps[:R], self.offsets[:R],
+                     None if table is None else table[:R],
+                     None if costs is None else costs[:R])
 
 
 class Polytope:
@@ -298,9 +301,13 @@ class Polytope:
             if not grid.unit:
                 terms = terms * grid.real_costs
             sums = np.add.reduceat(terms, grid.starts, axis=1)
-        tests = np.concatenate([X >= -FEAS_TOL, X <= 1.0 + FEAS_TOL,
-                                sums <= grid.limits], axis=1)
-        return tests.all(axis=1)
+        inside = (sums <= grid.limits).all(axis=1)
+        # the box on the whole batch at once, and row by row only when some
+        # coordinate is outside it (a NaN fails both tests)
+        if not (X.min(initial=np.inf) >= -FEAS_TOL
+                and X.max(initial=-np.inf) <= 1.0 + FEAS_TOL):
+            inside &= ((X >= -FEAS_TOL) & (X <= 1.0 + FEAS_TOL)).all(axis=1)
+        return inside
 
     def describe(self) -> str:
         return self.kind

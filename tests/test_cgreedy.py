@@ -544,7 +544,7 @@ def _hold_at_cap(run, cap, steps):
     margins = []
     for j in range(steps):
         env = env * (1.0 - run.delta * cap)
-        S, _, slack = cgreedy._step(C, run, S, V, env, [0.0], j)
+        _, slack = cgreedy._step(C, run, S, V, env, [0.0], j)
         margins.append(float(slack.min()))
     return margins
 
