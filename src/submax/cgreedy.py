@@ -42,9 +42,10 @@ their inputs: the family's gradient kernel (``closed_form_grad`` in closed
 mode), the oracle's fill from a plan, and the body's membership kernel.
 What does not change from step to step is checked or built once per solve:
 the run's numbers by ``RunConfig``, the body's size against the
-function's, and the oracle's plans, which depend only on the batch's
-shape.  What changes is checked at every step, on every row: the weights
-are finite (in the fill), s >= env, the box and every packing-row sum.
+function's, the oracle's plans, which depend only on the batch's shape,
+and buffers of the largest batch, which hold the rows.  What changes is
+checked at every step, on every row: the weights are finite (in the
+fill), s >= env, the box and every packing-row sum.
 """
 
 from __future__ import annotations
