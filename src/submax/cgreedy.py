@@ -57,9 +57,9 @@ import numpy as np
 from .errors import ConfigError, InvariantError
 from .dgbox import BoxInstance, double_greedy_box
 from .polytope import Polytope
-from .setfn import (EstimatorConfig, Point, SetFunction, default_config,
-                    max_singleton, multilinear, one_coordinate_gradient,
-                    residual_gradient)
+from .setfn import (ALPHA_MIN, EstimatorConfig, Point, SetFunction, _real, _unit,
+                    default_config, max_singleton, multilinear,
+                    one_coordinate_gradient, residual_gradient)
 
 THETA_TOL = 1e-12
 STEP_LIMIT = 10_000  # Euler steps per run, so delta >= 1e-4
@@ -68,19 +68,6 @@ STEP_LIMIT = 10_000  # Euler steps per run, so delta >= 1e-4
 def default_theta_grid() -> tuple[float, ...]:
     """Multiples of 0.02 across [0, 1]; includes the tuned switch time 0.18."""
     return tuple(float(np.round(0.02 * i, 10)) for i in range(51))
-
-
-def _real(value, what: str) -> float:
-    """A real number as a plain float.  A bool, a string or None is rejected
-    with ``ConfigError``, never converted; the range is the caller's check."""
-    if isinstance(value, (np.integer, np.floating)):
-        value = value.item()
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{what} must be a real number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # an int past the largest float
-        raise ConfigError(f"{what} is past the largest float") from None
 
 
 @dataclass(frozen=True)
@@ -98,10 +85,8 @@ class RunConfig:
     cfg: EstimatorConfig | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", _real(self.alpha, "alpha"))
+        object.__setattr__(self, "alpha", _unit(self.alpha, "alpha", ALPHA_MIN))
         object.__setattr__(self, "delta", _real(self.delta, "delta"))
-        if not (0.5 <= self.alpha <= 1.0):
-            raise ConfigError(f"alpha must lie in [1/2, 1], got {self.alpha}")
         if not (0.0 < self.delta <= 1.0):
             raise ConfigError(f"delta must lie in (0, 1], got {self.delta}")
         if not 1.0 / self.delta < STEP_LIMIT + 0.5:
@@ -114,7 +99,7 @@ class RunConfig:
             grid = default_theta_grid()
         else:
             try:
-                grid = tuple(_real(t, "theta") for t in self.theta_grid)
+                grid = tuple(_unit(t, "theta") for t in self.theta_grid)
             except TypeError:
                 raise ConfigError("theta grid must be a sequence of numbers, got "
                                   f"{self.theta_grid!r}") from None
@@ -123,8 +108,6 @@ class RunConfig:
         if list(grid) != sorted(set(grid)):
             raise ConfigError("theta grid must be strictly ascending")
         for t in grid:
-            if not (0.0 <= t <= 1.0):
-                raise ConfigError(f"theta {t} outside [0, 1]")
             self.steps_of(t)
         object.__setattr__(self, "theta_grid", grid)
 

@@ -9,9 +9,9 @@ import numpy as np
 
 from .cgreedy import RunConfig
 from .errors import InstanceFormatError, SubmaxError
-from .instances import (CSV_HEADER, InstanceFile, desk_corpus, gen,
-                        mini_corpus, run_instance)
-from .setfn import EstimatorConfig
+from .instances import (CONSTRAINT_KINDS, CSV_HEADER, FUNCTION_KINDS, InstanceFile,
+                        desk_corpus, gen, mini_corpus, run_instance)
+from .setfn import MODES, EstimatorConfig
 from .verify import best_bound_theta, compute_bound, property_suite
 
 
@@ -59,7 +59,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theta-grid", default=None,
                    help="switch-time grid, e.g. '0:0.1:1,+0.18' (default: "
                         "multiples of 0.02 across [0, 1])")
-    p.add_argument("--mode", choices=["exact", "closed", "mc"], default=None,
+    p.add_argument("--mode", choices=MODES, default=None,
                    help="extension evaluation mode (default: closed when "
                         "available, exact otherwise)")
     p.add_argument("--samples", type=int, default=EstimatorConfig.sample_count,
@@ -180,11 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a seeded random instance")
-    p.add_argument("--kind", required=True,
-                   choices=["directed-cut", "coverage", "explicit-table"])
+    p.add_argument("--kind", required=True, choices=FUNCTION_KINDS)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--constraint", required=True,
-                   choices=["cardinality", "partition-matroid", "knapsack"])
+    p.add_argument("--constraint", required=True, choices=CONSTRAINT_KINDS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .cgreedy import RunConfig, solve
 from .errors import InstanceFormatError, InvalidSubsetError
-from .setfn import Coverage, DirectedCut, ExplicitTable, SetFunction
+from .setfn import Coverage, DirectedCut, ExplicitTable, SetFunction, _number
 from .polytope import (CardinalityPolytope, KnapsackPolytope,
                        PartitionMatroidPolytope, Polytope)
 from .verify import BRUTE_FORCE_LIMIT, brute_force_opt
@@ -84,6 +84,15 @@ def _payload_errors(part: str, kind: str):
         raise InstanceFormatError(f"invalid {kind} {part} payload: {e}") from e
 
 
+def _check_kinds(function_kind, constraint_kind) -> None:
+    """The one check of both vocabularies, for documents and generators."""
+    for part, kind, kinds in (("function", function_kind, FUNCTION_KINDS),
+                              ("constraint", constraint_kind, CONSTRAINT_KINDS)):
+        if kind not in kinds:
+            raise InstanceFormatError(
+                f"unknown {part} kind {kind!r} (schema_version {SCHEMA_VERSION})")
+
+
 @dataclass
 class InstanceFile:
     n: int
@@ -115,7 +124,7 @@ class InstanceFile:
         if not isinstance(doc, dict):
             raise InstanceFormatError("instance document must be a JSON object")
         version = doc.get("schema_version")
-        if version != SCHEMA_VERSION:
+        if _number(version, int) != SCHEMA_VERSION:
             raise InstanceFormatError(
                 f"unsupported schema_version {version!r}; this build reads "
                 f"version {SCHEMA_VERSION}")
@@ -123,20 +132,13 @@ class InstanceFile:
             if fld not in doc:
                 raise InstanceFormatError(f"missing required field {fld!r}")
         n = doc["n"]
-        if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= N_LIMIT:
+        if _number(n, int) is None or not 1 <= n <= N_LIMIT:
             raise InstanceFormatError(
                 f"field 'n' must be a positive integer <= {N_LIMIT}, got {n!r}")
         for fld in ("function", "constraint", "metadata"):
             if not isinstance(doc.get(fld, {}), dict):
                 raise InstanceFormatError(f"field {fld!r} must be a JSON object")
-        fk = doc["function"].get("kind")
-        if fk not in FUNCTION_KINDS:
-            raise InstanceFormatError(
-                f"unknown function kind {fk!r} (schema_version {SCHEMA_VERSION})")
-        ck = doc["constraint"].get("kind")
-        if ck not in CONSTRAINT_KINDS:
-            raise InstanceFormatError(
-                f"unknown constraint kind {ck!r} (schema_version {SCHEMA_VERSION})")
+        _check_kinds(doc["function"].get("kind"), doc["constraint"].get("kind"))
         return cls(n=n, function=doc["function"],
                    constraint=doc["constraint"],
                    metadata=doc.get("metadata", {}),
@@ -228,11 +230,8 @@ def _gen_constraint_desc(rng, n, constraint) -> dict:
 def gen(kind: str, n: int, constraint: str, seed: int) -> InstanceFile:
     """Deterministic random instance; identical arguments give identical
     documents, byte for byte."""
-    if kind not in FUNCTION_KINDS:
-        raise InstanceFormatError(f"unknown function kind {kind!r}")
-    if constraint not in CONSTRAINT_KINDS:
-        raise InstanceFormatError(f"unknown constraint kind {constraint!r}")
-    if not 2 <= n <= N_LIMIT:
+    _check_kinds(kind, constraint)
+    if _number(n, int) is None or not 2 <= n <= N_LIMIT:
         raise InstanceFormatError(f"generated instances need 2 <= n <= {N_LIMIT}")
     if kind == "explicit-table" and n > TABLE_GEN_LIMIT:
         raise InstanceFormatError(

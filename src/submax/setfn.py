@@ -40,7 +40,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .errors import EstimatorError, InvalidSubsetError
+from .errors import ConfigError, EstimatorError, InvalidSubsetError
 
 COORD_TOL = 1e-12
 EXACT_ENUM_LIMIT = 25   # 2^n subset weights; the desk-scale ceiling
@@ -48,26 +48,58 @@ SUBMOD_CHECK_LIMIT = 12  # exhaustive submodularity check on explicit tables
 SUBMOD_SAMPLES = 1 << 16  # seeded (S, i, j) samples checked above that size
 MC_DRAW_LIMIT = 1 << 27  # float64 uniforms in one mc draw: 1 GiB
 
+MODES = ("exact", "closed", "mc")
+ALPHA_MIN = 0.5  # the cap alpha of a run or a bound lies in [1/2, 1]
+
 SubsetLike = Union[int, Iterable[int]]
 
 
+def _number(value, kinds=(int, float)):
+    """value as a plain number if it is one of kinds, else None: a bool, a
+    string or None is no number, and a float such as 2.0 is no int."""
+    if isinstance(value, (np.integer, np.floating)):
+        value = value.item()  # plain, so that comparisons are exact
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        return None
+    return value
+
+
+def _holds_bool(values) -> bool:
+    """Whether a list holds a bool, which numpy reads as 0 or 1 among numbers."""
+    return not {bool, np.bool_}.isdisjoint(map(type, values))
+
+
 def _positive_int(value, what: str, error: type[Exception] = ValueError) -> int:
-    """A positive integer as a plain int.  A bool, a float such as 2.0 or
-    2.5, or a string is rejected, never truncated."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+    """A positive integer as a plain int."""
+    n = _number(value, int)
+    if n is None or n < 1:
         raise error(f"{what} must be a positive integer, got {value!r}")
-    return int(value)
+    return n
+
+
+def _real(value, what: str) -> float:
+    """A finite real number as a plain float; the range is the caller's check."""
+    x = _number(value)
+    if x is None or not abs(x) <= sys.float_info.max:
+        raise ConfigError(f"{what} must be a finite real number, got {value!r}")
+    return float(x)
 
 
 def _positive_real(value, what: str) -> float:
-    """A positive finite real number as a plain float.  A bool, a string or
-    None is rejected, never converted."""
-    if isinstance(value, (np.integer, np.floating)):
-        value = value.item()  # so that the comparisons below are exact
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not 0 < value <= sys.float_info.max):
+    """A positive finite real number as a plain float."""
+    x = _number(value)
+    if x is None or not 0 < x <= sys.float_info.max:
         raise ValueError(f"{what} must be positive and finite, got {value!r}")
-    return float(value)
+    return float(x)
+
+
+def _unit(value, what: str, lo: float = 0.0) -> float:
+    """A real number in [lo, 1] as a plain float: a switch time theta, or
+    the cap alpha with lo = ALPHA_MIN."""
+    x = _real(value, what)
+    if not lo <= x <= 1.0:
+        raise ConfigError(f"{what} must lie in [{lo:g}, 1], got {x}")
+    return x
 
 
 def as_mask(S: SubsetLike, n: int) -> int:
@@ -164,15 +196,16 @@ class EstimatorConfig:
     stream: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.mode not in ("exact", "closed", "mc"):
+        if self.mode not in MODES:
             raise EstimatorError(f"unknown evaluation mode {self.mode!r}")
         object.__setattr__(self, "sample_count",
                            _positive_int(self.sample_count, "sample_count", EstimatorError))
         # any integer, negative ones too (``submax solve --seed`` takes any
         # int); the stream reads its low 64 bits
-        if isinstance(self.rng_seed, bool) or not isinstance(self.rng_seed, (int, np.integer)):
+        seed = _number(self.rng_seed, int)
+        if seed is None:
             raise EstimatorError(f"rng_seed must be an integer, got {self.rng_seed!r}")
-        object.__setattr__(self, "rng_seed", int(self.rng_seed))
+        object.__setattr__(self, "rng_seed", seed)
 
     def substream(self, *labels: int) -> "EstimatorConfig":
         return EstimatorConfig(self.mode, self.sample_count, self.rng_seed,
@@ -239,15 +272,13 @@ def _check_masks(masks: np.ndarray, n: int) -> None:
 
 
 def _indices(values, size: int, what: str) -> np.ndarray:
-    """Integer indices in [0, size) as an int64 array.  Anything else, a
-    float such as 2.0 or 0.5, a bool or a string, is rejected, never
-    truncated."""
+    """Integer indices in [0, size) as an int64 array; anything else is
+    rejected, never truncated."""
     idx = np.asarray(values)
     if idx.size == 0:
         return np.zeros(0, dtype=np.int64)
-    if idx.ndim != 1 or idx.dtype.kind not in "iu" or bool in set(map(type, values)):
-        bad = next((v for v in values if type(v) is not int
-                    and not isinstance(v, np.integer)), values)
+    if idx.ndim != 1 or idx.dtype.kind not in "iu" or _holds_bool(values):
+        bad = next((v for v in values if _number(v, int) is None), values)
         raise ValueError(f"{what} {bad!r} is not an integer index")
     if idx.min() < 0 or idx.max() >= size:
         bad = idx[(idx < 0) | (idx >= size)][0]
@@ -260,7 +291,7 @@ def _reals(values, what: str) -> np.ndarray:
     be finite, which also bounds every extension value and partial
     derivative built from them."""
     arr = np.asarray(values)
-    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iuf"):
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iuf") or _holds_bool(values):
         raise ValueError(f"{what} must be a flat list of numbers")
     arr = arr.astype(float)
     with np.errstate(over="ignore"):  # an overflowing sum is the error below

@@ -18,12 +18,11 @@ import numpy as np
 from .cgreedy import RunConfig, SolveReport, solve
 from .dgbox import BoxInstance, double_greedy_box_run, guarantee_floor
 from .errors import ConfigError, EstimatorError
-from .polytope import (CardinalityPolytope, KnapsackPolytope,
-                       PartitionMatroidPolytope, Polytope)
+from .polytope import Polytope
 from .setfn import (EXACT_ENUM_LIMIT, EstimatorConfig, Point, SetFunction,
-                    _mask_bits, _points, default_config, gradient,
-                    mask_to_set, max_singleton, multilinear, multilinear_batch,
-                    one_coordinate_gradient)
+                    ALPHA_MIN, _mask_bits, _number, _points, _unit, default_config,
+                    gradient, mask_to_set, max_singleton, multilinear,
+                    multilinear_batch, one_coordinate_gradient)
 
 BRUTE_FORCE_LIMIT = 20
 BOUND_GRID_LIMIT = 100_000  # thetas of best_bound_theta, one formula call each
@@ -65,10 +64,7 @@ def brute_force_box_opt(f: SetFunction, u, v):
 def compute_bound(alpha: float, theta: float) -> float:
     """Closed-form approximation constant C(alpha, theta) of the two-branch
     trade-off.  C(1/2, 0.18) > 0.372; C(alpha, 0) = 1/e for every alpha."""
-    if not (0.5 <= alpha <= 1.0):
-        raise ConfigError(f"alpha must lie in [1/2, 1], got {alpha}")
-    if not (0.0 <= theta <= 1.0):
-        raise ConfigError(f"theta must lie in [0, 1], got {theta}")
+    alpha, theta = _unit(alpha, "alpha", ALPHA_MIN), _unit(theta, "theta")
     e_damp = np.exp((1.0 - alpha) * theta - 1.0)
     e_th = np.exp(theta - 1.0)
     num = (1.0 - theta) * e_damp \
@@ -80,7 +76,7 @@ def compute_bound(alpha: float, theta: float) -> float:
 def best_bound_theta(alpha: float, grid_points: int = 1000):
     """Grid-search the maximizing switch time over 1 to BOUND_GRID_LIMIT
     evenly spaced thetas; returns (theta, bound)."""
-    if not (1 <= grid_points <= BOUND_GRID_LIMIT):
+    if _number(grid_points, int) is None or not 1 <= grid_points <= BOUND_GRID_LIMIT:
         raise ConfigError(f"grid must hold 1 to {BOUND_GRID_LIMIT} points, "
                           f"got {grid_points}")
     thetas = np.linspace(0.0, 1.0, grid_points)
@@ -113,22 +109,12 @@ def check_x_or_opt(f: SetFunction, x, S) -> bool:
 
 def lp_brute_force(C: Polytope, w, alpha: float) -> float:
     """Optimal value of max{<w,c> : c in C, ||c||_inf <= alpha} by exhaustive
-    vertex enumeration of the explicit inequality system.
-
-    All shipped bodies are separable or single-row packing systems, so every
-    vertex has at most one coordinate per row strictly between 0 and alpha;
-    enumerating those patterns is exhaustive.  Exponential and only meant
-    for small n.
+    vertex enumeration, one problem per packing row of ``C.rows``: the rows
+    are disjoint, and every vertex of a row's problem has at most one
+    coordinate strictly between 0 and alpha.  Exponential; for small n only.
     """
     wv = _one_point(C.n, w)
-    if isinstance(C, CardinalityPolytope):
-        return _lp_single_row(wv, np.ones(C.n), C.k, alpha)
-    if isinstance(C, KnapsackPolytope):
-        return _lp_single_row(wv, C.costs, C.budget, alpha)
-    if isinstance(C, PartitionMatroidPolytope):
-        return sum(_lp_single_row(wv[b], np.ones(b.size), kb, alpha)
-                   for b, kb in zip(C.blocks, C.budgets))
-    raise TypeError(f"no vertex enumeration for {type(C).__name__}")
+    return sum(_lp_single_row(wv[idx], cost, budget, alpha) for idx, cost, budget in C.rows)
 
 
 def _lp_single_row(w: np.ndarray, cost: np.ndarray, budget: float,

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import time
 import tracemalloc
 from functools import reduce
@@ -42,6 +43,16 @@ class TestGeneration:
         # construction reruns the check: exhaustive at n=12, sampled at n=13
         f = sm.parse_instance(inst.to_json()).build_function()
         assert isinstance(f, sm.ExplicitTable)
+
+    @pytest.mark.parametrize("kind,n,constraint,message", [
+        ("mystery", 4, "cardinality", "unknown function kind 'mystery' (schema_version 1)"),
+        ("coverage", 4, "mystery", "unknown constraint kind 'mystery' (schema_version 1)"),
+        ("coverage", 4.0, "cardinality", "2 <= n <= 4096"),
+        ("coverage", True, "cardinality", "2 <= n <= 4096"),
+    ], ids=["function-kind", "constraint-kind", "float-n", "bool-n"])
+    def test_bad_arguments_rejected_as_documents_are(self, kind, n, constraint, message):
+        with pytest.raises(InstanceFormatError, match=re.escape(message)):
+            sm.gen(kind, n, constraint, 0)
 
     def test_explicit_table_generation_capped(self):
         # rejected before any table is built
@@ -148,6 +159,14 @@ class TestSerialization:
         doc = json.loads(sm.gen("directed-cut", 4, "cardinality", 0).to_json())
         doc["schema_version"] = 99
         with pytest.raises(InstanceFormatError, match="99"):
+            sm.parse_instance(json.dumps(doc))
+
+    @pytest.mark.parametrize("version", [True, 1.0], ids=["true", "float"])
+    def test_schema_version_must_be_the_integer_1(self, version):
+        # both equal 1, but to_json would write them back as they came
+        doc = json.loads(sm.gen("directed-cut", 4, "cardinality", 0).to_json())
+        doc["schema_version"] = version
+        with pytest.raises(InstanceFormatError, match="unsupported schema_version"):
             sm.parse_instance(json.dumps(doc))
 
     def test_missing_field_named(self):
@@ -393,11 +412,28 @@ class TestCli:
          "knapsack budget must be positive and finite, got None"),
         ("directed-cut", "knapsack", lambda d: d["constraint"].update(budget="2"),
          "knapsack budget must be positive and finite, got '2'"),
+        # a true among numbers, which numpy would read as 1.0
+        ("directed-cut", "knapsack",
+         lambda d: d["constraint"]["costs"].__setitem__(0, True),
+         "knapsack costs must be a flat list of numbers"),
+        ("coverage", "cardinality",
+         lambda d: d["function"]["item_weights"].__setitem__(0, True),
+         "item weights must be a flat list of numbers"),
+        ("directed-cut", "cardinality",
+         lambda d: d["function"]["arcs"][0].__setitem__(2, True),
+         "arc weights must be a flat list of numbers"),
+        ("directed-cut", "partition-matroid",
+         lambda d: d["constraint"]["budgets"].__setitem__(0, True),
+         "block budgets must be a flat list of numbers"),
+        ("explicit-table", "cardinality",
+         lambda d: d["function"]["values"].__setitem__(-1, True),
+         "table values must be a flat list of numbers"),
     ], ids=["function-list", "n-string", "two-element-arc", "budget-string",
             "budget-nan", "k-infinity", "item-weights-2d", "costs-2d",
             "fractional-endpoint", "fractional-item", "fractional-block-element",
             "four-element-arc", "cut-n-4097", "partition-n-2^63", "k-true", "k-null",
-            "k-string", "budget-true", "budget-null", "budget-string-2"])
+            "k-string", "budget-true", "budget-null", "budget-string-2", "costs-true",
+            "item-weight-true", "arc-weight-true", "block-budget-true", "table-value-true"])
     def test_malformed_instance_is_a_format_error(self, tmp_path, capsys, kind,
                                                   constraint, mutate, message):
         doc = json.loads(sm.gen(kind, 4, constraint, 0).to_json())

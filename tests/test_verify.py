@@ -142,6 +142,16 @@ class TestComputeBound:
                 sm.best_bound_theta(0.5, grid)
 
 
+    @pytest.mark.parametrize("call", [
+        lambda: sm.compute_bound(True, 0.18), lambda: sm.compute_bound("0.5", 0.18),
+        lambda: sm.compute_bound(0.5, None), lambda: sm.best_bound_theta(0.5, True),
+        lambda: sm.best_bound_theta(0.5, 2.5),
+    ], ids=["alpha-true", "alpha-string", "theta-none", "grid-true", "grid-float"])
+    def test_non_numbers_rejected_as_run_config_rejects_them(self, call):
+        with pytest.raises(ConfigError):
+            call()
+
+
 class TestJoinLowerBound:
     def test_equality_at_origin(self):
         rng = np.random.default_rng(3)
