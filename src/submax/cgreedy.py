@@ -28,11 +28,11 @@ A violation, or an iterate outside the constraint body, raises
 capped trajectory, and every stage two runs on the same time grid, so at
 global step j the stage-one iterate (up to the largest theta's step) and the
 stage-two iterate of every theta that switched before j are the rows of one
-(R, n) batch.  Each step takes one batched gradient (one per distinct
-point), one batched oracle call with a cap per row (alpha for stage one, 1
+(R, n) batch.  Each step takes one gradient of the batch (one row per
+distinct point), one oracle fill with a cap per row (alpha for stage one, 1
 for stage two), and one Euler step that checks every row; in mc mode the
-rows of step j draw from the one sub-stream (j,).  The gradient and the
-oracle answer each row as they answer it alone, bit for bit, so the sweep
+rows of step j draw from the one sub-stream (j,).  These kernels answer
+each row as the one-point calls answer it, bit for bit, so the sweep
 equals the per-theta composition of ``dampened_stage`` and
 ``standard_stage`` (the same step routine on one row, recording per-step
 trajectories) and ``dg_branch``.
@@ -177,7 +177,7 @@ def _direction(f: SetFunction, C: Polytope, cfg: EstimatorConfig,
                x: np.ndarray, alpha: float, j: int):
     """The residual gradient at the one point x at step j and the oracle
     direction it selects under the cap ``alpha``."""
-    g = residual_gradient(f, x[None], cfg.substream(j) if cfg.mode == "mc" else cfg)[0]
+    g = residual_gradient(f, x, cfg.substream(j) if cfg.mode == "mc" else cfg)
     return g, C.linear_maximize(g, alpha)
 
 

@@ -33,6 +33,12 @@ from .setfn import (COORD_TOL, EstimatorConfig, Point, SetFunction,
                     default_config, multilinear_batch)
 
 
+def _check_box(u: np.ndarray, v: np.ndarray) -> None:
+    """The rule of every box [u, v]: u <= v coordinatewise, within COORD_TOL."""
+    if np.any(u > v + COORD_TOL):
+        raise InvalidBoxError("box requires u <= v coordinatewise")
+
+
 @dataclass(frozen=True)
 class BoxInstance:
     f: SetFunction
@@ -43,8 +49,7 @@ class BoxInstance:
     def __post_init__(self):
         if self.u.n != self.f.n or self.v.n != self.f.n:
             raise InvalidBoxError("box bounds must match the ground set size")
-        if np.any(self.u.v > self.v.v + COORD_TOL):
-            raise InvalidBoxError("box requires u <= v coordinatewise")
+        _check_box(self.u.v, self.v.v)
         cfg = self.cfg if self.cfg is not None else default_config(self.f)
         if cfg.mode == "mc":
             raise EstimatorError("double greedy requires exact evaluation; "

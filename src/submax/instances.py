@@ -17,7 +17,8 @@ import numpy as np
 
 from .cgreedy import RunConfig, solve
 from .errors import InstanceFormatError, InvalidSubsetError
-from .setfn import Coverage, DirectedCut, ExplicitTable, SetFunction, _number
+from .setfn import (Coverage, DirectedCut, ExplicitTable, SetFunction, _number, _seed,
+                    _seed_sequence)
 from .polytope import (CardinalityPolytope, KnapsackPolytope,
                        PartitionMatroidPolytope, Polytope)
 from .verify import BRUTE_FORCE_LIMIT, brute_force_opt
@@ -184,9 +185,8 @@ _CK_LABEL = {k: i for i, k in enumerate(CONSTRAINT_KINDS)}
 
 
 def _rng_for(kind: str, n: int, constraint: str, seed: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=int(seed) & (2**64 - 1),
-                                 spawn_key=(_FK_LABEL[kind], _CK_LABEL[constraint], n))
-    return np.random.default_rng(seq)
+    return np.random.default_rng(
+        _seed_sequence(seed, (_FK_LABEL[kind], _CK_LABEL[constraint], n)))
 
 
 def _gen_cut_desc(rng, n) -> dict:
@@ -231,6 +231,7 @@ def gen(kind: str, n: int, constraint: str, seed: int) -> InstanceFile:
     """Deterministic random instance; identical arguments give identical
     documents, byte for byte."""
     _check_kinds(kind, constraint)
+    seed = _seed(seed, "seed", InstanceFormatError)
     if _number(n, int) is None or not 2 <= n <= N_LIMIT:
         raise InstanceFormatError(f"generated instances need 2 <= n <= {N_LIMIT}")
     if kind == "explicit-table" and n > TABLE_GEN_LIMIT:
@@ -249,7 +250,7 @@ def gen(kind: str, n: int, constraint: str, seed: int) -> InstanceFile:
         table = cut.full_table() + cov.full_table()
         fdesc = {"kind": "explicit-table", "values": table.tolist()}
     cdesc = _gen_constraint_desc(rng, n, constraint)
-    meta = {"name": f"{kind}-{constraint}-n{n}-s{seed}", "seed": int(seed),
+    meta = {"name": f"{kind}-{constraint}-n{n}-s{seed}", "seed": seed,
             "generator": f"{kind}/{constraint}"}
     return InstanceFile(n=n, function=fdesc, constraint=cdesc, metadata=meta)
 
@@ -257,6 +258,7 @@ def gen(kind: str, n: int, constraint: str, seed: int) -> InstanceFile:
 def desk_corpus(seed: int = 1) -> list[InstanceFile]:
     """The seeded benchmark corpus: both structural families, all three
     constraint kinds, n in [6, 12], 54 instances."""
+    seed = _seed(seed, "seed", InstanceFormatError)
     out = []
     idx = 0
     for n, reps in ((6, 2), (8, 2), (9, 1), (10, 2), (12, 2)):
@@ -269,13 +271,13 @@ def desk_corpus(seed: int = 1) -> list[InstanceFile]:
 
 
 def _child_seed(seed: int, idx: int) -> int:
-    seq = np.random.SeedSequence(entropy=int(seed) & (2**64 - 1), spawn_key=(idx,))
-    return int(seq.generate_state(1, dtype=np.uint64)[0])
+    return int(_seed_sequence(seed, (idx,)).generate_state(1, dtype=np.uint64)[0])
 
 
 def mini_corpus(seed: int = 1) -> list[InstanceFile]:
     """A small battery covering every (kind, constraint) cell, for fast
     verification runs."""
+    seed = _seed(seed, "seed", InstanceFormatError)
     out = []
     for i, kind in enumerate(FUNCTION_KINDS):
         for j, constraint in enumerate(CONSTRAINT_KINDS):

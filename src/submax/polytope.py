@@ -9,22 +9,22 @@ max <w, c>  over c in C, ||c||_inf <= alpha  exactly, by a fractional-knapsack
 greedy per row; the cap alpha is a plain number in (0, 1].
 ``contains_point`` tests membership of a fractional point; each body's
 ``contains_mask_batch`` tests integer sets for the brute-force oracle.  The
-oracle and the membership test also take an (R, n) batch of rows, the
-oracle with one cap for every row or one cap per row, and answer each row
-as a one-row call does.  Both read one structure per body, its packing rows
-padded to one length (``_grid``): one sort ranks the entries of every row,
-the greedy's fills come from the running differences of each packing row's
-budget, taken over the whole batch at once, and one gather puts every fill
-back at its coordinate; membership adds each packing row's terms over its
-real places only, row by row.
+two public calls take one point (``setfn._point``), the oracle one cap; the
+kernels under them take an (R, n) batch of rows, the fill one cap per row,
+and answer each row as a one-row batch does.  Both read one structure per
+body, its packing rows padded to one length (``_grid``): one sort ranks the
+entries of every row, the greedy's fills come from the running differences
+of each packing row's budget, taken over the whole batch at once, and one
+gather puts every fill back at its coordinate; membership adds each packing
+row's terms over its real places only, row by row.
 
-Each public call checks its inputs (shapes, caps) and then runs a kernel on
-plain arrays; the Euler loop of ``cgreedy.solve`` runs the same kernels on
-arrays it built, without the public checks.  The oracle is two kernels:
-``_plan(caps)`` builds what depends only on the body and the batch's caps
-(each row's cap, the flat sort offsets, and on unit costs each row's fill
-table), once per batch shape, and ``_greedy_fill(W, plan)`` runs the greedy
-on the weights, checking on every call that they are finite.
+Each public call checks its inputs (the shape, the cap) and then runs a
+kernel on the one-row batch; the Euler loop of ``cgreedy.solve`` runs the
+same kernels on batches it built, without the public checks.  The oracle is
+two kernels: ``_plan(caps)`` builds what depends only on the body and the
+batch's caps (each row's cap, the flat sort offsets, and on unit costs each
+row's fill table), once per batch shape, and ``_greedy_fill(W, plan)`` runs
+the greedy on the weights, checking on every call that they are finite.
 ``linear_maximize`` is the checks, a plan and the fill, so the public call
 and the loop share one fill path.  ``_inside(X)`` is membership's kernel:
 the box test and every packing-row sum, on every row of every call.
@@ -63,7 +63,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .setfn import (Point, _indices, _mask_bits, _points, _positive_int,
+from .setfn import (Point, _indices, _mask_bits, _number, _point, _positive_int,
                     _positive_real, _reals)
 
 FEAS_TOL = 1e-9
@@ -120,27 +120,16 @@ class Polytope:
     def __init__(self, n: int):
         self.n = _positive_int(n, "ground set size")
 
-    def linear_maximize(self, w, alpha=1.0):
-        """argmax { <w, c> : c in C, ||c||_inf <= alpha }, exactly.
-
-        ``w`` is one weight vector, answered with a Point, or an (R, n)
-        batch, answered with an (R, n) array whose row r maximizes row r of
-        w.  ``alpha`` is one cap in (0, 1] for every row, or a sequence of
-        one cap per row.  Each row's answer does not depend on the others;
-        an empty (0, n) batch gets an empty answer.
-        """
-        wv = _points(self.n, w)
-        W = np.atleast_2d(wv)
-        caps = np.asarray(alpha)
-        # a NaN cap fails the comparisons, as one outside (0, 1] does
-        if (caps.dtype.kind not in "iuf" or caps.shape not in ((), (len(W),))
-                or caps.size and not 0 < caps.min() <= caps.max() <= 1):
-            raise ValueError("caps must be one number in (0, 1] or one per weight "
-                             f"row ({len(W)} rows), got {alpha!r}")
-        if not len(W):
-            return np.zeros((0, self.n))
-        c = self._greedy_fill(W, self._plan(np.full(len(W), caps, dtype=float)))
-        return Point.trusted(c[0]) if wv.ndim == 1 else c
+    def linear_maximize(self, w, alpha=1.0) -> Point:
+        """argmax { <w, c> : c in C, ||c||_inf <= alpha }, exactly, for one
+        weight vector w and one cap alpha in (0, 1]."""
+        wv = _point(self.n, w)
+        cap = _number(alpha)
+        # a NaN cap fails the comparison, as one outside (0, 1] does
+        if cap is None or not 0 < cap <= 1:
+            raise ValueError(f"caps must be one number in (0, 1], got {alpha!r}")
+        plan = self._plan(np.array([float(cap)]))
+        return Point.trusted(self._greedy_fill(wv[None], plan)[0])
 
     @cached_property
     def _grid(self) -> _Grid:
@@ -280,12 +269,10 @@ class Polytope:
     def contains_mask_batch(self, masks: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def contains_point(self, x):
-        """Whether x satisfies every defining inequality within tolerance;
-        for an (R, n) batch, an (R,) array of the answers row by row."""
-        xv = _points(self.n, x)
-        inside = self._inside(np.atleast_2d(xv))
-        return inside if xv.ndim == 2 else bool(inside[0])
+    def contains_point(self, x) -> bool:
+        """Whether the one point x satisfies every defining inequality
+        within tolerance."""
+        return bool(self._inside(_point(self.n, x)[None])[0])
 
     def _inside(self, X: np.ndarray) -> np.ndarray:
         # the membership of every row of an (R, n) batch, as one row of

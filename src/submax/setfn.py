@@ -15,17 +15,20 @@ Three evaluation modes are supported:
              draw per call shared by every row.
 
 ``multilinear_batch`` evaluates F in every mode; ``multilinear`` is its
-one-row case.  In exact and mc modes, and for explicit tables, partial
-derivatives go through the one-coordinate identity, 2n rows of one batch:
-dF/dx_i = F(x with x_i=1) - F(x with x_i=0).  Because F is multilinear this is
-exact; no finite-difference fuzz is ever involved.  In closed mode each
-structural family differentiates its polynomial analytically:
-``closed_form_grad`` gives the whole gradient at one point or at every row
-of an (R, n) batch, each row as the one point gives it, and
-``closed_form_partial(i, X)`` gives the single partial dF/dx_i at every row
-of X in O(n) for a cut and O(n |covers_i|) for coverage, which is what the
-double greedy needs at each coordinate.  For a cut with weight matrix W
-these are F(x) = x^T W (1 - x), grad F(x) = W (1 - x) - W^T x and
+one-row case.  ``multilinear_batch``, ``one_coordinate_gradient`` and the
+families' ``closed_form_*`` kernels take an (R, n) batch, as the solver's
+Euler loop and the double greedy run them; ``multilinear``, ``gradient`` and
+``residual_gradient`` take one point (``_point``).  In exact and mc modes,
+and for explicit tables, partial derivatives go through the one-coordinate
+identity, 2n rows of one batch: dF/dx_i = F(x with x_i=1) - F(x with x_i=0).
+Because F is multilinear this is exact; no finite-difference fuzz is ever
+involved.  In closed mode each structural family differentiates its
+polynomial analytically: ``closed_form_grad`` gives the whole gradient at
+one point or at every row of an (R, n) batch, each row as the one point
+gives it, and ``closed_form_partial(i, X)`` gives the single partial dF/dx_i
+at every row of X in O(n) for a cut and O(n |covers_i|) for coverage, which
+is what the double greedy needs at each coordinate.  For a cut with weight
+matrix W these are F(x) = x^T W (1 - x), grad F(x) = W (1 - x) - W^T x and
 dF/dx_i = (1 - x) . W[i, :] - x . W[:, i].  The identity stays the reference
 both are tested against (``one_coordinate_gradient``).
 """
@@ -36,7 +39,8 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Union
+from collections.abc import Iterable
+from typing import Union
 
 import numpy as np
 
@@ -77,6 +81,20 @@ def _positive_int(value, what: str, error: type[Exception] = ValueError) -> int:
     return n
 
 
+def _seed(value, what: str, error: type[Exception]) -> int:
+    """A seed as a plain int: any integer, negative ones too (``submax solve
+    --seed`` takes any int)."""
+    seed = _number(value, int)
+    if seed is None:
+        raise error(f"{what} must be an integer, got {value!r}")
+    return seed
+
+
+def _seed_sequence(seed: int, spawn_key: tuple[int, ...] = ()) -> np.random.SeedSequence:
+    """The stream of an integer seed, which reads its low 64 bits."""
+    return np.random.SeedSequence(entropy=seed & (2**64 - 1), spawn_key=spawn_key)
+
+
 def _real(value, what: str) -> float:
     """A finite real number as a plain float; the range is the caller's check."""
     x = _number(value)
@@ -104,18 +122,15 @@ def _unit(value, what: str, lo: float = 0.0) -> float:
 
 def as_mask(S: SubsetLike, n: int) -> int:
     """Canonicalize a subset (bitmask int, or iterable of element indices)
-    to a bitmask with bit i <-> element i."""
-    if isinstance(S, (int, np.integer)):
-        m = int(S)
-        if m < 0 or m >> n:
-            raise InvalidSubsetError(f"bitmask {m} outside ground set of size {n}")
-        return m
-    m = 0
-    for e in S:
-        i = int(e)
-        if i < 0 or i >= n:
-            raise InvalidSubsetError(f"element {i} outside ground set of size {n}")
-        m |= 1 << i
+    to a bitmask with bit i <-> element i; a bool, a float or an element
+    that is not an integer index is rejected, never truncated."""
+    m = _number(S, int)
+    if m is None:
+        if not isinstance(S, Iterable):
+            raise ValueError(f"a subset is a bitmask or a list of elements, got {S!r}")
+        return sum(1 << i for i in set(_indices(list(S), n, "element").tolist()))
+    if m < 0 or m >> n:
+        raise InvalidSubsetError(f"bitmask {m} outside ground set of size {n}")
     return m
 
 
@@ -200,21 +215,14 @@ class EstimatorConfig:
             raise EstimatorError(f"unknown evaluation mode {self.mode!r}")
         object.__setattr__(self, "sample_count",
                            _positive_int(self.sample_count, "sample_count", EstimatorError))
-        # any integer, negative ones too (``submax solve --seed`` takes any
-        # int); the stream reads its low 64 bits
-        seed = _number(self.rng_seed, int)
-        if seed is None:
-            raise EstimatorError(f"rng_seed must be an integer, got {self.rng_seed!r}")
-        object.__setattr__(self, "rng_seed", seed)
+        object.__setattr__(self, "rng_seed", _seed(self.rng_seed, "rng_seed", EstimatorError))
 
     def substream(self, *labels: int) -> "EstimatorConfig":
         return EstimatorConfig(self.mode, self.sample_count, self.rng_seed,
                                self.stream + tuple(int(l) for l in labels))
 
     def rng(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(entropy=self.rng_seed & (2**64 - 1),
-                                     spawn_key=self.stream)
-        return np.random.Generator(np.random.Philox(seq))
+        return np.random.Generator(np.random.Philox(_seed_sequence(self.rng_seed, self.stream)))
 
 
 class SetFunction:
@@ -530,12 +538,22 @@ def default_config(f: SetFunction) -> EstimatorConfig:
 
 def _points(n: int, x) -> np.ndarray:
     """x as a float array, checked to be one point of n coordinates or an
-    (R, n) batch of them: the one shape check of every point, weight and
-    bound input."""
+    (R, n) batch of them: the shape check of the calls that take batches,
+    ``multilinear_batch`` and ``one_coordinate_gradient``."""
     xv = as_array(x)
     if xv.ndim not in (1, 2) or xv.shape[-1] != n:
         raise ValueError(f"expected a point of {n} coordinates or an (R, {n}) "
                          f"batch, got shape {xv.shape}")
+    return xv
+
+
+def _point(n: int, x) -> np.ndarray:
+    """x as a float array, checked to be one point of n coordinates: the
+    shape check of every call that takes one point, the gradients, the
+    oracle, membership and the verification oracles."""
+    xv = as_array(x)
+    if xv.shape != (n,):
+        raise ValueError(f"expected one point of {n} coordinates, got shape {xv.shape}")
     return xv
 
 
@@ -578,11 +596,6 @@ def _uniforms(n: int, cfg: EstimatorConfig) -> np.ndarray:
     return cfg.rng().random((cfg.sample_count, n))
 
 
-def _mc_values(f: SetFunction, x: np.ndarray, cfg: EstimatorConfig) -> np.ndarray:
-    """Per-sample values f(R(x)) for cfg.sample_count independent draws."""
-    return _vertex_values(f, _uniforms(f.n, cfg) < x[None, :])
-
-
 def _vertex_values(f: SetFunction, R: np.ndarray) -> np.ndarray:
     if f.has_closed_form:
         return f.closed_form_batch(R.astype(float))
@@ -594,7 +607,7 @@ def multilinear(f: SetFunction, x, cfg: EstimatorConfig | None = None) -> float:
     """The extension value F(x) under the configured estimator."""
     if cfg is None:
         cfg = default_config(f)
-    return float(multilinear_batch(f, as_array(x)[None, :], cfg)[0])
+    return float(multilinear_batch(f, _point(f.n, x)[None, :], cfg)[0])
 
 
 def one_coordinate_gradient(f: SetFunction, x, cfg: EstimatorConfig) -> np.ndarray:
@@ -613,20 +626,20 @@ def one_coordinate_gradient(f: SetFunction, x, cfg: EstimatorConfig) -> np.ndarr
 
 
 def gradient(f: SetFunction, x, cfg: EstimatorConfig | None = None) -> np.ndarray:
-    """The gradient of F at x, or at each row of an (R, n) batch; every row
-    is the one-point gradient, bit for bit.  Closed mode differentiates the
+    """The gradient of F at the one point x.  Closed mode differentiates the
     family's polynomial analytically; exact and mc modes use the
-    one-coordinate identity (in mc mode every row reads one draw)."""
+    one-coordinate identity."""
+    xv = _point(f.n, x)
     if cfg is None:
         cfg = default_config(f)
     if cfg.mode == "closed":
-        return f.closed_form_grad(_points(f.n, x))
-    return one_coordinate_gradient(f, x, cfg)
+        return f.closed_form_grad(xv)
+    return one_coordinate_gradient(f, xv, cfg)
 
 
 def residual_gradient(f: SetFunction, x, cfg: EstimatorConfig | None = None) -> np.ndarray:
-    """gradient(f, x) * (1 - x), the effective gain direction under the
-    multiplicative update, at one point or each row of a batch."""
+    """gradient(f, x) * (1 - x) at the one point x, the effective gain
+    direction under the multiplicative update."""
     xv = as_array(x)
     return gradient(f, xv, cfg) * (1.0 - xv)
 

@@ -16,11 +16,11 @@ from itertools import combinations
 import numpy as np
 
 from .cgreedy import RunConfig, SolveReport, solve
-from .dgbox import BoxInstance, double_greedy_box_run, guarantee_floor
+from .dgbox import BoxInstance, _check_box, double_greedy_box_run, guarantee_floor
 from .errors import ConfigError, EstimatorError
 from .polytope import Polytope
 from .setfn import (EXACT_ENUM_LIMIT, EstimatorConfig, Point, SetFunction,
-                    ALPHA_MIN, _mask_bits, _number, _points, _unit, default_config,
+                    ALPHA_MIN, _mask_bits, _number, _point, _unit, default_config,
                     gradient, mask_to_set, max_singleton, multilinear,
                     multilinear_batch, one_coordinate_gradient)
 
@@ -51,10 +51,9 @@ def brute_force_opt(f: SetFunction, C: Polytope):
 def brute_force_box_opt(f: SetFunction, u, v):
     """Exhaustive corner optimum of F over the box [u, v]; ties prefer
     corners using more upper values.  Returns (x*, value)."""
-    uv, vv = _points(f.n, u), _points(f.n, v)
+    uv, vv = _point(f.n, u), _point(f.n, v)
     masks = _all_masks(f.n)[::-1]  # all-upper corner first
-    if np.any(uv > vv + 1e-12):
-        raise ValueError("box requires u <= v coordinatewise")
+    _check_box(uv, vv)
     corners = np.where(_mask_bits(masks, f.n), vv[None, :], uv[None, :])
     values = multilinear_batch(f, corners, default_config(f))
     best = int(np.argmax(values))
@@ -85,17 +84,9 @@ def best_bound_theta(alpha: float, grid_points: int = 1000):
     return float(thetas[i]), float(vals[i])
 
 
-def _one_point(n: int, x) -> np.ndarray:
-    """x checked by ``setfn._points`` to be one point of n coordinates."""
-    xv = _points(n, x)
-    if xv.ndim != 1:
-        raise ValueError(f"expected one point of {n} coordinates, got shape {xv.shape}")
-    return xv
-
-
 def check_x_or_opt(f: SetFunction, x, S) -> bool:
     """Whether F(x | 1_S) >= (1 - ||x||_inf) f(S), with slack 1e-9."""
-    xv = _one_point(f.n, x)
+    xv = _point(f.n, x)
     ind = Point.indicator(f.n, S).v
     joined = np.maximum(xv, ind)
     lhs = multilinear(f, joined, default_config(f))
@@ -113,7 +104,7 @@ def lp_brute_force(C: Polytope, w, alpha: float) -> float:
     are disjoint, and every vertex of a row's problem has at most one
     coordinate strictly between 0 and alpha.  Exponential; for small n only.
     """
-    wv = _one_point(C.n, w)
+    wv = _point(C.n, w)
     return sum(_lp_single_row(wv[idx], cost, budget, alpha) for idx, cost, budget in C.rows)
 
 

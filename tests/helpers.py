@@ -79,6 +79,13 @@ def random_box(rng, n):
     return sm.Point(np.minimum(a, b)), sm.Point(np.maximum(a, b))
 
 
+def fill(C, W, caps):
+    """The capped greedy fill of every row of the weight batch W as the
+    solver's loop runs it: a plan for the caps (one for every row, or one
+    per row), then the fill kernel ``Polytope._greedy_fill``."""
+    return C._greedy_fill(W, C._plan(np.full(len(W), caps, dtype=float)))
+
+
 def reference_greedy_fill(C, W, alpha):
     """The capped greedy fill of a weight batch W, one cap per row, as a walk
     over each packing row of ``C.rows`` that writes each fill into its

@@ -12,7 +12,7 @@ import submax as sm
 from submax import Point
 from submax.polytope import FEAS_TOL
 
-from helpers import random_constraint, reference_greedy_fill
+from helpers import fill, random_constraint, reference_greedy_fill
 
 
 class TestLinearMaximizeExamples:
@@ -107,10 +107,22 @@ class TestLinearMaximizeExamples:
                     got = C.linear_maximize(w, alpha).v
                     assert got.tobytes() == float_ratio_greedy(C, w, alpha).tobytes()
 
+    @pytest.mark.parametrize("cap", [
+        0.0, -0.5, 1.2, np.inf, np.nan, [0.5, np.nan], "0.5", None, True,
+        [0.5, "x"], [0.5], [0.5, 1.0, 1.0], [[0.5, 1.0]]],
+        ids=["zero", "negative", "above-one", "inf", "nan", "nan-in-row", "str",
+             "none", "bool", "str-in-row", "too-few", "too-many", "two-axes"])
+    def test_bad_caps_rejected(self, cap):
+        # a cap outside (0, 1], NaN, a non-number, or a list of caps
+        # (of any length or axes), for one weight row
+        C = sm.CardinalityPolytope(3, 1)
+        with pytest.raises(ValueError, match="caps"):
+            C.linear_maximize(np.ones(3), cap)
+
 
 class TestBatchOracle:
-    """An (R, n) batch of weights is answered row by row, each row exactly
-    as the one-row call answers it."""
+    """The fill kernel answers an (R, n) batch of weights, one cap per row,
+    row by row, each row exactly as the one-row call answers it."""
 
     @pytest.mark.parametrize("R", [1, 2, 7, 51])
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
@@ -125,7 +137,7 @@ class TestBatchOracle:
              "knapsack": sm.KnapsackPolytope(n, costs, 0.4 * costs.sum())}[body]
         W = rng.normal(size=(R, n))
         W[::2] = np.round(W[::2], 1)  # some rows with tied weights
-        got = C.linear_maximize(W, alpha)
+        got = fill(C, W, alpha)
         assert got.shape == (R, n)
         for w, row in zip(W, got):
             assert row.tobytes() == C.linear_maximize(w, alpha).v.tobytes()
@@ -133,32 +145,8 @@ class TestBatchOracle:
     def test_cap_per_row(self):
         C = sm.CardinalityPolytope(3, 1)
         W = np.array([[5.0, 4.0, 3.0]] * 3)
-        got = C.linear_maximize(W, [0.25, 1.0, 0.5])
+        got = fill(C, W, [0.25, 1.0, 0.5])
         assert got.tolist() == [[0.25, 0.25, 0.25], [1.0, 0.0, 0.0], [0.5, 0.5, 0.0]]
-        with pytest.raises(ValueError, match="caps"):
-            C.linear_maximize(W, [0.5] * 2)
-
-    @pytest.mark.parametrize("body", ["cardinality", "partition", "knapsack"])
-    def test_empty_batch_gets_an_empty_answer(self, body):
-        C = {"cardinality": sm.CardinalityPolytope(3, 1),
-             "partition": sm.PartitionMatroidPolytope(3, [[0, 2], [1]], [1, 1]),
-             "knapsack": sm.KnapsackPolytope(3, [1.0, 2.0, 0.5], 1.5)}[body]
-        for cap in (0.5, []):
-            got = C.linear_maximize(np.zeros((0, 3)), cap)
-            assert got.shape == (0, 3) and got.dtype == float
-        assert C.contains_point(np.zeros((0, 3))).shape == (0,)
-
-    @pytest.mark.parametrize("cap", [
-        0.0, -0.5, 1.2, np.inf, np.nan, [0.5, np.nan], "0.5", None, True,
-        [0.5, "x"], [0.5], [0.5, 1.0, 1.0], [[0.5, 1.0]]],
-        ids=["zero", "negative", "above-one", "inf", "nan", "nan-in-row", "str",
-             "none", "bool", "str-in-row", "too-few", "too-many", "two-axes"])
-    def test_bad_caps_rejected(self, cap):
-        # a cap outside (0, 1], NaN, a non-number, a wrong count or more
-        # than one axis, for a batch of two weight rows
-        C = sm.CardinalityPolytope(3, 1)
-        with pytest.raises(ValueError, match="caps"):
-            C.linear_maximize(np.ones((2, 3)), cap)
 
     def test_huge_budget_over_tiny_costs(self):
         # what is left over a tiny cost overflows to inf, without a warning
@@ -166,7 +154,7 @@ class TestBatchOracle:
         W = np.array([[3.0, 2.0, 1.0], [1.0, 1.0, 1.0], [0.0, 0.0, 5.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = C.linear_maximize(W, [1.0, 0.5, 1.0])
+            got = fill(C, W, [1.0, 0.5, 1.0])
         want = reference_greedy_fill(C, W, np.array([1.0, 0.5, 1.0]))
         assert got.tobytes() == want.tobytes()
 
@@ -183,7 +171,7 @@ class TestBatchOracle:
         rng = np.random.default_rng(9)
         W = rng.normal(size=(9, 7))
         alpha = rng.choice([0.3, 0.5, 1.0], 9)
-        got = C.linear_maximize(W, alpha)
+        got = fill(C, W, alpha)
         assert got.tobytes() == reference_greedy_fill(C, W, alpha).tobytes()
         assert not got[:, 2].any()
 
@@ -200,7 +188,7 @@ class TestBatchOracle:
         W = np.stack([-np.array(w), w, np.zeros(n), w] * 3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = C.linear_maximize(W)
+            got = fill(C, W, 1.0)
         assert got.tolist() == [[0.0] * n, best, [0.0] * n, best] * 3
 
     def test_fill_matches_float_ratio_greedy_stacked(self):
@@ -217,7 +205,7 @@ class TestBatchOracle:
             alphas = [0.5, 1.0] * 4 + [0.5]
             for C in (sm.KnapsackPolytope(k, cost, rng.uniform(0.2, 0.8) * cost.sum()),
                       sm.PartitionMatroidPolytope(k, blocks, [max(1, b.size // 2) for b in blocks])):
-                got = C.linear_maximize(W, alphas)
+                got = fill(C, W, alphas)
                 for w, alpha, row in zip(W, alphas, got):
                     assert row.tobytes() == float_ratio_greedy(C, w, alpha).tobytes()
 
@@ -287,7 +275,7 @@ class TestContains:
         X = np.array([[0.5, 0.5, 1.0, 1.0], [0.6, 0.6, 0.0, 0.0],
                       [0.0, 0.0, 1.2, 0.0], [np.nan, 0.0, 0.0, 0.0],
                       [0.0, -1e-3, 0.0, 0.0]])
-        got = C.contains_point(X)
+        got = C._inside(X)
         assert got.tolist() == [True, False, False, False, False]
         assert got.tolist() == [C.contains_point(x) for x in X]
 
@@ -295,8 +283,8 @@ class TestContains:
     @pytest.mark.parametrize("body", ["cardinality", "partition", "knapsack"])
     def test_rows_at_the_tolerance_edge_match_one_row(self, body, R):
         # points scaled onto budget + FEAS_TOL, where rounding in a packing
-        # row's sum decides the answer: each row of a batch is answered as
-        # the one-row call answers it
+        # row's sum decides the answer: each row of a batch of the membership
+        # kernel is answered as the one-row call answers it
         rng = np.random.default_rng(40 + R)
         n = 37
         costs = 0.5 + rng.random(n)
@@ -308,7 +296,7 @@ class TestContains:
         for idx, cost, budget in C.rows:
             X[:, idx] *= ((budget + FEAS_TOL) / (X[:, idx] @ cost))[:, None]
         X = X * (1.0 + rng.integers(-2, 3, (R, 1)) * 1e-16)
-        got = C.contains_point(X)
+        got = C._inside(X)
         assert got.tolist() == [C.contains_point(x) for x in X]
 
     @pytest.mark.parametrize("C, x", [
@@ -321,12 +309,11 @@ class TestContains:
             "partition-inf-minus-inf", "cardinality-sum"])
     def test_huge_coordinates_are_outside_without_a_warning(self, C, x):
         # a product or sum past the largest float is outside, one point at
-        # a time and in a batch beside a point inside
+        # a time and in a batch of the membership kernel beside a point inside
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert C.contains_point(x) is False
-            assert C.contains_point(np.array([x, [0.1, 0.1, 0.1]])).tolist() \
-                == [False, True]
+            assert C._inside(np.array([x, [0.1, 0.1, 0.1]])).tolist() == [False, True]
 
 
 class TestConstruction:
@@ -441,12 +428,6 @@ def test_down_closedness_probe(seed, n):
         assert C.contains_point(x * rng.random(n))
 
 
-def plan_and_fill(C, W, alpha):
-    """The fill of W as the sweep runs it: a plan for the caps, then the
-    fill kernel."""
-    return C._greedy_fill(W, C._plan(alpha))
-
-
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
        R=st.sampled_from([1, 2, 7, 52]),
        body=st.sampled_from(["cardinality", "partition", "knapsack"]),
@@ -480,7 +461,7 @@ def test_greedy_fill_matches_the_per_row_walk(seed, n, R, body, tied, exact):
     else:
         blocks = np.array_split(rng.permutation(n), int(rng.integers(1, min(3, n) + 1)))
         C = sm.PartitionMatroidPolytope(n, blocks, [budget(np.ones(b.size)) for b in blocks])
-    got = plan_and_fill(C, W, alpha)
+    got = fill(C, W, alpha)
     assert got.tobytes() == reference_greedy_fill(C, W, alpha).tobytes()
 
 
@@ -543,22 +524,21 @@ class TestShortcuts:
         want = reference_greedy_fill(C, W, alpha)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert plan_and_fill(C, W, alpha).tobytes() == want.tobytes()
-            assert C.linear_maximize(W, alpha).tobytes() == want.tobytes()
+            assert fill(C, W, alpha).tobytes() == want.tobytes()
             for w, a, row in zip(W, alpha, want):
                 assert C.linear_maximize(w, a).v.tobytes() == row.tobytes()
-        assert plan_and_fill(general_path(C), W, alpha).tobytes() == want.tobytes()
+        assert fill(general_path(C), W, alpha).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("name", SHORTCUT_BODIES)
     def test_membership_matches_the_general_path(self, name):
         # points on the budget (the fills) and just off it, row by row too
         C = SHORTCUT_BODIES[name][0]()
         W, alpha = extreme_batch(C.n, 7)
-        fills = C.linear_maximize(np.abs(W) + 1.0, alpha)
+        fills = fill(C, np.abs(W) + 1.0, alpha)
         X = np.concatenate([fills, fills * (1 + FEAS_TOL), fills * (1 + 2 * FEAS_TOL),
                             fills + FEAS_TOL / C.n, np.random.default_rng(7).random((20, C.n))])
-        got = C.contains_point(X)
-        assert got.tolist() == general_path(C).contains_point(X).tolist()
+        got = C._inside(X)
+        assert got.tolist() == general_path(C)._inside(X).tolist()
         assert got.any() and not got.all()
         assert [C.contains_point(x) for x in X] == got.tolist()
 
@@ -569,14 +549,14 @@ class TestShortcuts:
         W, alpha = extreme_batch(C.n, 3)
         before = W.copy()
         W.flags.writeable = False
-        c = C.linear_maximize(W, alpha)
+        c = fill(C, W, alpha)
         one = C.linear_maximize(W[5], 0.5)
         assert W.tobytes() == before.tobytes()
         assert not np.shares_memory(c, W) and not np.shares_memory(one.v, W)
         X = np.random.default_rng(3).random((9, C.n))
         X_before = X.copy()
         X.flags.writeable = False
-        C.contains_point(X)
+        C._inside(X)
         C.contains_point(X[4])
         assert X.tobytes() == X_before.tobytes()
 
@@ -603,7 +583,7 @@ def loop_weights(rng, R, n):
 
 class TestLoopPath:
     """The sweep's oracle, a plan per batch shape read by the fill kernel,
-    against the public ``linear_maximize`` and the per-row walk."""
+    against the per-row walk and the public one-row ``linear_maximize``."""
 
     @pytest.mark.parametrize("name", LOOP_BODIES)
     def test_plan_and_fill_match_linear_maximize(self, name):
@@ -613,10 +593,12 @@ class TestLoopPath:
             W = loop_weights(rng, R, C.n)
             alpha = float(rng.choice([0.5, 0.7, 1.0]))
             for caps in (alpha, rng.choice([alpha, 1.0], R), rng.uniform(1e-3, 1.0, R)):
-                want = reference_greedy_fill(C, W, np.full(R, caps, dtype=float))
-                got = C._greedy_fill(W, C._plan(np.full(R, caps, dtype=float)))
+                caps = np.full(R, caps, dtype=float)
+                want = reference_greedy_fill(C, W, caps)
+                got = C._greedy_fill(W, C._plan(caps))
                 assert got.tobytes() == want.tobytes(), (R, caps)
-                assert C.linear_maximize(W, caps).tobytes() == want.tobytes(), (R, caps)
+                for w, a, row in zip(W, caps, want):
+                    assert C.linear_maximize(w, a).v.tobytes() == row.tobytes(), (R, a)
 
     @pytest.mark.parametrize("name", LOOP_BODIES)
     def test_a_plan_grows_as_rows_join(self, name):
@@ -634,7 +616,7 @@ class TestLoopPath:
             caps[0] = alpha if stage_one else 1.0
             W = loop_weights(rng, R, C.n)
             got = C._greedy_fill(W, (capped if stage_one else free).head(R))
-            assert got.tobytes() == C.linear_maximize(W, caps).tobytes(), R
+            assert got.tobytes() == fill(C, W, caps).tobytes(), R
             assert got.tobytes() == reference_greedy_fill(C, W, caps).tobytes(), R
 
     @pytest.mark.parametrize("name", LOOP_BODIES)

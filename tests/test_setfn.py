@@ -218,8 +218,10 @@ class TestClosedFormGradient:
 
 
 class TestBatchGradient:
-    """A gradient over an (R, n) batch answers each row as the one-point
-    gradient does, byte for byte, whatever the batch around it."""
+    """The gradient kernels the solver's loop runs over an (R, n) batch
+    (``closed_form_grad`` in closed mode, the one-coordinate identity in
+    exact mode) answer each row as the one-point ``gradient`` does, byte
+    for byte, whatever the batch around it."""
 
     @pytest.mark.parametrize("R", [1, 2, 7, 51])
     @pytest.mark.parametrize("kind", ["cut", "coverage", "table"])
@@ -234,11 +236,11 @@ class TestBatchGradient:
         X = rng.random((R, f.n))
         X[rng.random(X.shape) < 0.15] = 0.0
         X[rng.random(X.shape) < 0.15] = 1.0
-        G = sm.gradient(f, X, cfg)
+        G = f.closed_form_grad(X) if cfg.mode == "closed" else one_coordinate_gradient(f, X, cfg)
         assert G.shape == (R, f.n)
         for x, g in zip(X, G):
             assert g.tobytes() == sm.gradient(f, x, cfg).tobytes()
-        assert np.array_equal(sm.residual_gradient(f, X, cfg), G * (1.0 - X))
+            assert (g * (1.0 - x)).tobytes() == sm.residual_gradient(f, x, cfg).tobytes()
 
 
 class TestCoverageOwnerTable:
@@ -285,8 +287,8 @@ def test_coverage_kernels_match_the_dense_references(seed, n, m, R, density):
 
 
 class TestPointShape:
-    """The gradient and the extension take one point of n coordinates or an
-    (R, n) batch, and name n for anything else, in every mode."""
+    """The gradient takes one point of n coordinates and the extension one
+    point or an (R, n) batch; both name n for anything else, in every mode."""
 
     FAMILIES = {
         "cut": (lambda: sm.DirectedCut(3, [(0, 1, 1.0), (2, 0, 0.5)]),
@@ -500,8 +502,9 @@ class TestMonteCarlo:
         x, y = rng.random(5), rng.random(5)
         cfg = EstimatorConfig(mode="mc", sample_count=3000, rng_seed=5)
         vals = sm.multilinear_batch(f, np.stack([x, x, y]), cfg)
-        assert vals[0] == vals[1] == sm.setfn._mc_values(f, x, cfg).mean()
-        assert vals[2] == sm.setfn._mc_values(f, y, cfg).mean()
+        U = sm.setfn._uniforms(f.n, cfg)
+        assert vals[0] == vals[1] == sm.setfn._vertex_values(f, U < x).mean()
+        assert vals[2] == sm.setfn._vertex_values(f, U < y).mean()
         assert sm.multilinear(f, x, cfg) == vals[0]
 
 
