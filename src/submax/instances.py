@@ -26,8 +26,10 @@ from .verify import BRUTE_FORCE_LIMIT, brute_force_opt
 SCHEMA_VERSION = 1
 FUNCTION_KINDS = ("directed-cut", "coverage", "explicit-table")
 CONSTRAINT_KINDS = ("cardinality", "partition-matroid", "knapsack")
-# generating a table enumerates cut and coverage over all 2^n subsets, with
-# a (2^n x arcs) intermediate: over 1 GB at n=20
+# generating a table enumerates cut and coverage over all 2^n subsets, in
+# blocks of setfn.MASK_BLOCK masks: at n = 16/18/20 it took 0.07/0.24/1.3 s
+# and peaked at 4/15/57 MB (tracemalloc), mostly the table and its list of
+# floats; the limit keeps a document's table at 2^16 values
 TABLE_GEN_LIMIT = 16
 # generating a cut and solving build (n x n) arrays: 128 MB of floats at 4096
 N_LIMIT = 4096

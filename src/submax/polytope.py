@@ -8,7 +8,10 @@ One oracle serves all three: ``linear_maximize(w, alpha)`` solves
 max <w, c>  over c in C, ||c||_inf <= alpha  exactly, by a fractional-knapsack
 greedy per row; the cap alpha is a plain number in (0, 1].
 ``contains_point`` tests membership of a fractional point; each body's
-``contains_mask_batch`` tests integer sets for the brute-force oracle.  The
+``contains_mask_batch`` tests integer sets for the brute-force oracle, in
+blocks of ``setfn.MASK_BLOCK`` masks, so that it holds one block's rows at a
+time and a knapsack's sums keep the bytes of one product over the whole
+batch (a matrix-vector product rounds a row by its place in the call).  The
 two public calls take one point (``setfn._point``), the oracle one cap; the
 kernels under them take an (R, n) batch of rows, the fill one cap per row,
 and answer each row as a one-row batch does.  Both read one structure per
@@ -63,7 +66,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .setfn import (Point, _indices, _mask_bits, _number, _point, _positive_int,
+from .setfn import (Point, _indices, _mask_blocks, _number, _point, _positive_int,
                     _positive_real, _reals)
 
 FEAS_TOL = 1e-9
@@ -311,8 +314,10 @@ class CardinalityPolytope(Polytope):
         self.rows = [(np.arange(self.n), np.ones(self.n), self.k)]
 
     def contains_mask_batch(self, masks):
-        bits = _mask_bits(masks, self.n)
-        return bits.sum(axis=1) <= self.k + FEAS_TOL
+        ok = np.empty(len(masks), dtype=bool)
+        for lo, bits in _mask_blocks(masks, self.n):
+            ok[lo:lo + len(bits)] = bits.sum(axis=1) <= self.k + FEAS_TOL
+        return ok
 
     def describe(self):
         return f"cardinality(k={self.k:g})"
@@ -343,10 +348,10 @@ class PartitionMatroidPolytope(Polytope):
                      for b, kb in zip(self.blocks, self.budgets)]
 
     def contains_mask_batch(self, masks):
-        bits = _mask_bits(masks, self.n)
-        ok = np.ones(masks.shape, dtype=bool)
-        for b, kb in zip(self.blocks, self.budgets):
-            ok &= bits[:, b].sum(axis=1) <= kb + FEAS_TOL
+        ok = np.ones(len(masks), dtype=bool)
+        for lo, bits in _mask_blocks(masks, self.n):
+            for b, kb in zip(self.blocks, self.budgets):
+                ok[lo:lo + len(bits)] &= bits[:, b].sum(axis=1) <= kb + FEAS_TOL
         return ok
 
     def describe(self):
@@ -371,8 +376,10 @@ class KnapsackPolytope(Polytope):
         self.rows = [(np.arange(self.n), self.costs, self.budget)]
 
     def contains_mask_batch(self, masks):
-        bits = _mask_bits(masks, self.n)
-        return bits.astype(float) @ self.costs <= self.budget + FEAS_TOL
+        ok = np.empty(len(masks), dtype=bool)
+        for lo, bits in _mask_blocks(masks, self.n):
+            ok[lo:lo + len(bits)] = bits.astype(float) @ self.costs <= self.budget + FEAS_TOL
+        return ok
 
     def describe(self):
         return f"knapsack(B={self.budget:g})"

@@ -146,3 +146,38 @@ def reference_coverage_batch(f, X):
         surv = np.prod(np.where(f.incidence[None, :, :], miss[:, :, None], 1.0), axis=1)
         out[lo:lo + rows] = (1.0 - surv) @ f.item_weights
     return out
+
+
+def _reference_bits(masks, n):
+    return (masks[:, None] >> np.arange(n)[None, :]) & 1 != 0
+
+
+def reference_cut_values(f, masks):
+    """The cut value of every mask as one product over the whole batch, in
+    the int64 shift form: the bytes ``DirectedCut.value_batch`` must keep."""
+    in_src = (masks[:, None] >> f.src[None, :]) & 1
+    in_dst = (masks[:, None] >> f.dst[None, :]) & 1
+    return (in_src * (1 - in_dst)).astype(float) @ f.w
+
+
+def reference_coverage_values(f, masks):
+    """The coverage value of every mask as one product over the whole batch:
+    the bytes ``Coverage.value_batch`` must keep."""
+    covered = _reference_bits(masks, f.n).astype(float) @ f.incidence > 0
+    return covered @ f.item_weights
+
+
+def reference_contains(C, masks):
+    """The membership of every mask in one pass over the whole batch, for a
+    cardinality, partition-matroid or knapsack body: the answers its
+    ``contains_mask_batch`` must keep."""
+    bits = _reference_bits(masks, C.n)
+    tol = sm.polytope.FEAS_TOL
+    if C.kind == "cardinality":
+        return bits.sum(axis=1) <= C.k + tol
+    if C.kind == "knapsack":
+        return bits.astype(float) @ C.costs <= C.budget + tol
+    ok = np.ones(masks.shape, dtype=bool)
+    for b, kb in zip(C.blocks, C.budgets):
+        ok &= bits[:, b].sum(axis=1) <= kb + tol
+    return ok

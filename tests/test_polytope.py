@@ -361,6 +361,24 @@ class TestConstruction:
         with pytest.raises(ValueError, match="cover"):
             sm.PartitionMatroidPolytope(3, [[0, 1]], [1])
 
+    @pytest.mark.parametrize("blocks", [
+        [{0, 1}, {2}], [frozenset({1, 0}), [2]], [(i for i in (1, 0)), iter([2])],
+        [range(2), np.array([2])]], ids=["set", "frozenset", "generator", "range"])
+    def test_set_blocks_build_the_list_blocks(self, blocks):
+        C = sm.PartitionMatroidPolytope(3, blocks, [1, 1])
+        ref = sm.PartitionMatroidPolytope(3, [[0, 1], [2]], [1, 1])
+        assert [b.tolist() for b in C.blocks] == [b.tolist() for b in ref.blocks]
+        assert all(b.dtype == np.int64 for b in C.blocks)
+        assert C.linear_maximize([1.0, 2.0, 3.0], 1.0).v.tolist() == [0.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("block, error", [
+        ({0, True}, ValueError), ({0, 1.0}, ValueError), ({0, 1.5}, ValueError),
+        ({0, 3}, sm.InvalidSubsetError), ({-1, 0}, sm.InvalidSubsetError)])
+    def test_set_blocks_reject_what_list_blocks_reject(self, block, error):
+        for blocks in ([block, {2}], [sorted(block, key=repr), [2]]):
+            with pytest.raises(error):
+                sm.PartitionMatroidPolytope(3, blocks, [1, 1])
+
     def test_cap_range(self):
         C = sm.CardinalityPolytope(2, 1)
         for alpha in (0.0, 1.2):

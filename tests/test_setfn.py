@@ -43,6 +43,21 @@ class TestValue:
     def test_bitmask_and_set_agree(self, one_arc):
         assert one_arc.value(0b01) == one_arc.value({0})
 
+    @pytest.mark.parametrize("subset", [
+        lambda: {0}, lambda: frozenset({0}), lambda: (i for i in [0]),
+        lambda: {0: "x"}.keys(), lambda: range(1), lambda: np.array([0])],
+        ids=["set", "frozenset", "generator", "keys", "range", "array"])
+    def test_any_iterable_of_elements(self, one_arc, subset):
+        assert sm.setfn.as_mask(subset(), 2) == 0b01
+        assert one_arc.value(subset()) == 1.0
+
+    @pytest.mark.parametrize("subset, error", [
+        ({0, True}, ValueError), ({1.0}, ValueError),
+        ((e for e in [0, 0.5]), ValueError), ({2}, InvalidSubsetError)])
+    def test_bad_elements_of_a_set_rejected(self, one_arc, subset, error):
+        with pytest.raises(error):
+            one_arc.value(subset)
+
     def test_out_of_range_rejected(self, one_arc):
         with pytest.raises(InvalidSubsetError):
             one_arc.value({2})
