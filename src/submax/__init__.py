@@ -13,14 +13,13 @@ from .errors import (ConfigError, EstimatorError, InstanceFormatError,
                      SubmaxError)
 from .setfn import (Coverage, DirectedCut, EstimatorConfig, ExplicitTable,
                     Point, SetFunction, default_config, gradient, max_singleton,
-                    multilinear, multilinear_batch, residual_gradient)
+                    multilinear, multilinear_batch)
 from .polytope import (CardinalityPolytope, KnapsackPolytope,
                        PartitionMatroidPolytope, Polytope)
 from .dgbox import (BoxInstance, BoxRun, double_greedy_box,
                     double_greedy_box_run, guarantee_floor)
 from .cgreedy import (DiagnosticRecord, RunConfig, SolveReport, ThetaResult,
-                      Trajectory, dampened_stage, default_theta_grid,
-                      dg_branch, solve, standard_stage)
+                      default_theta_grid, solve)
 from .verify import (CheckResult, best_bound_theta, brute_force_box_opt,
                      brute_force_opt, check_x_or_opt, compute_bound,
                      lp_brute_force, property_suite)
@@ -37,13 +36,12 @@ __all__ = [
     "InstanceFile", "InstanceFormatError", "InvalidBoxError",
     "InvalidSubsetError", "InvariantError", "KnapsackPolytope",
     "PartitionMatroidPolytope", "Point", "Polytope", "ResultRecord", "RunConfig", "SetFunction",
-    "SolveReport", "SubmaxError", "ThetaResult", "Trajectory",
+    "SolveReport", "SubmaxError", "ThetaResult",
     "best_bound_theta", "brute_force_box_opt", "brute_force_opt",
-    "check_x_or_opt", "compute_bound", "dampened_stage", "default_config",
-    "default_theta_grid", "desk_corpus", "dg_branch", "double_greedy_box",
+    "check_x_or_opt", "compute_bound", "default_config",
+    "default_theta_grid", "desk_corpus", "double_greedy_box",
     "double_greedy_box_run", "gen", "gradient", "guarantee_floor",
     "lp_brute_force", "max_singleton", "mini_corpus", "multilinear",
     "multilinear_batch", "parse_instance", "property_suite",
-    "residual_gradient", "run_instance", "serialize_instance", "solve",
-    "standard_stage",
+    "run_instance", "serialize_instance", "solve",
 ]

@@ -32,10 +32,10 @@ stage-two iterate of every theta that switched before j are the rows of one
 distinct point), one oracle fill with a cap per row (alpha for stage one, 1
 for stage two), and one Euler step that checks every row; in mc mode the
 rows of step j draw from the one sub-stream (j,).  These kernels answer
-each row as the one-point calls answer it, bit for bit, so the sweep
-equals the per-theta composition of ``dampened_stage`` and
-``standard_stage`` (the same step routine on one row, recording per-step
-trajectories) and ``dg_branch``.
+each row as the one-point calls answer it, bit for bit, so every theta's
+result equals a run of that theta alone: stage one from 0, stage two from
+x(theta) and the fallback at x(theta), each one point at a time.  The tests
+hold ``solve`` to such a per-theta reference, byte for byte.
 
 The loop runs kernels on arrays it built, not the public calls that check
 their inputs: the family's gradient kernel (``closed_form_grad`` in closed
@@ -58,8 +58,7 @@ from .errors import ConfigError, InvariantError
 from .dgbox import BoxInstance, double_greedy_box
 from .polytope import Polytope
 from .setfn import (ALPHA_MIN, EstimatorConfig, Point, SetFunction, _real, _unit,
-                    default_config, max_singleton, multilinear,
-                    one_coordinate_gradient, residual_gradient)
+                    default_config, multilinear, one_coordinate_gradient)
 
 THETA_TOL = 1e-12
 STEP_LIMIT = 10_000  # Euler steps per run, so delta >= 1e-4
@@ -125,28 +124,6 @@ class RunConfig:
         return self.cfg if self.cfg is not None else default_config(f)
 
 
-@dataclass
-class Trajectory:
-    """Per-step record of one greedy stage: the time, the point the oracle
-    direction was computed at, the direction, and the oracle objective
-    <grad F(x) o (1-x), v>."""
-
-    times: list[float] = field(default_factory=list)
-    points: list[Point] = field(default_factory=list)
-    directions: list[Point] = field(default_factory=list)
-    inner_products: list[float] = field(default_factory=list)
-    min_envelope_margin: float = np.inf
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def add(self, time: float, x: np.ndarray, g: np.ndarray, v: Point) -> None:
-        self.times.append(time)
-        self.points.append(Point.trusted(x))
-        self.directions.append(v)
-        self.inner_products.append(float(g @ v.v))
-
-
 def _step(C: Polytope, run: RunConfig, S: np.ndarray, V: np.ndarray,
           env: np.ndarray, thetas: list[float], j: int):
     """Euler step j -> j+1 of every row, on its complement, in place:
@@ -173,73 +150,10 @@ def _step(C: Polytope, run: RunConfig, S: np.ndarray, V: np.ndarray,
     return X, slack
 
 
-def _direction(f: SetFunction, C: Polytope, cfg: EstimatorConfig,
-               x: np.ndarray, alpha: float, j: int):
-    """The residual gradient at the one point x at step j and the oracle
-    direction it selects under the cap ``alpha``."""
-    g = residual_gradient(f, x, cfg.substream(j) if cfg.mode == "mc" else cfg)
-    return g, C.linear_maximize(g, alpha)
-
-
-def _stage(f: SetFunction, C: Polytope, run: RunConfig, theta: float,
-           x: np.ndarray, first: int, last: int, alpha: float, env: float):
-    """Steps first..last-1 of one greedy stage from the one point x, whose
-    complement starts at 1 - x and its envelope at ``env``: the R = 1 case
-    of the sweep.  Returns the final point and the trajectory."""
-    cfg = run.resolve_cfg(f)
-    shrink = 1.0 - run.delta * alpha
-    s = 1.0 - x
-    traj = Trajectory()
-    for j in range(first, last):
-        g, v = _direction(f, C, cfg, x, alpha, j)
-        traj.add(j * run.delta, x, g, v)
-        env *= shrink
-        X, slack = _step(C, run, s[None], v.v[None], np.array([env]), [theta], j)
-        x = X[0]
-        traj.min_envelope_margin = min(traj.min_envelope_margin, float(slack.min()))
-    return x, traj
-
-
 def _fallback(f: SetFunction, cfg: EstimatorConfig, p: Point) -> Point:
     """The double greedy solution z over the box [0, p]."""
     box_cfg = cfg if cfg.mode != "mc" else default_config(f)
     return double_greedy_box(BoxInstance(f, Point.zeros(f.n), p, box_cfg))
-
-
-def dampened_stage(f: SetFunction, C: Polytope, run: RunConfig, theta: float):
-    """Run the capped stage from 0 to time theta.
-
-    Returns (x_theta, v_theta, trajectory) where v_theta is the capped oracle
-    direction computed at the final point; the fallback branch bound needs it
-    even though it is never applied as an update.
-    """
-    k = run.steps_of(theta)
-    x, traj = _stage(f, C, run, theta, np.zeros(f.n), 0, k, run.alpha, 1.0)
-    _, v = _direction(f, C, run.resolve_cfg(f), x, run.alpha, k)
-    return Point(x), v, traj
-
-
-def standard_stage(f: SetFunction, C: Polytope, run: RunConfig,
-                   start: Point, theta: float):
-    """Continue uncapped from x(theta) until time 1; returns (y1, trajectory)."""
-    k, env = run.steps_of(theta), 1.0
-    for _ in range(k):  # stage one's envelope, as the sweep multiplies it down
-        env *= 1.0 - run.delta * run.alpha
-    y, traj = _stage(f, C, run, theta, start.v, k, run.total_steps, 1.0,
-                     1.0 - (1.0 - env))
-    return Point(y), traj
-
-
-def dg_branch(f: SetFunction, C: Polytope, x_theta: Point,
-              cfg: EstimatorConfig | None = None):
-    """The fallback pair (p, z): p is the *uncapped* oracle direction at the
-    capped-stage point (this asymmetry is deliberate), and z is the double
-    greedy solution over the box [0, p].  z <= p, so z is feasible by
-    down-closedness."""
-    if cfg is None:
-        cfg = default_config(f)
-    p = C.linear_maximize(residual_gradient(f, x_theta, cfg))
-    return p, _fallback(f, cfg, p)
 
 
 @dataclass
@@ -261,21 +175,16 @@ class ThetaResult:
 
 @dataclass(frozen=True)
 class DiagnosticRecord:
-    """One lower-bound check.  ``passed`` allows the discretization slack
-    2*delta*n^3*M; ``passed_strict`` allows none."""
+    """One branch lower-bound check, held exactly: ``passed`` is
+    value >= bound, with no allowance for the discrete run."""
 
     name: str
     theta: float
     value: float
     bound: float
-    slack: float
 
     @property
     def passed(self) -> bool:
-        return self.value >= self.bound - self.slack
-
-    @property
-    def passed_strict(self) -> bool:
         return self.value >= self.bound
 
 
@@ -290,7 +199,7 @@ class SolveReport:
 
 
 def bound_diagnostics(run: RunConfig, results: list[ThetaResult],
-                      opt_value: float, scale_m: float, n: int) -> list[DiagnosticRecord]:
+                      opt_value: float) -> list[DiagnosticRecord]:
     """Per-theta lower bounds on both branches, given the true optimum.
 
     greedy branch:    F(y1) >= e^(theta-1) * ((1-theta) e^(-alpha theta) OPT
@@ -298,10 +207,10 @@ def bound_diagnostics(run: RunConfig, results: list[ThetaResult],
     fallback branch:  F(z)  >= (e^(-alpha theta) OPT - F(x_theta)
                                 - <grad o (1-x), v_theta>) / (2 (1-alpha))
 
-    Both are continuous-time statements; the discrete run earns them only up
-    to a discretization error, covered by the slack 2*delta*n^3*M.
+    Both are continuous-time statements.  The discrete run is held to them
+    with no allowance for its discretization: a bound that fails is a
+    finding about the run, not a tolerance to widen.
     """
-    slack = 2.0 * run.delta * n**3 * scale_m
     a = run.alpha
     out = []
     for r in results:
@@ -309,12 +218,12 @@ def bound_diagnostics(run: RunConfig, results: list[ThetaResult],
         cg_bound = np.exp(th - 1.0) * ((1.0 - th) * np.exp(-a * th) * opt_value
                                        + r.x_value)
         out.append(DiagnosticRecord("greedy-stage-bound", th, r.y1_value,
-                                    float(cg_bound), slack))
+                                    float(cg_bound)))
         if a < 1.0:
             dg_bound = (np.exp(-a * th) * opt_value - r.x_value - r.final_inner) \
                 / (2.0 * (1.0 - a))
             out.append(DiagnosticRecord("fallback-stage-bound", th, r.z_value,
-                                        float(dg_bound), slack))
+                                        float(dg_bound)))
     return out
 
 
@@ -333,8 +242,8 @@ def solve(f: SetFunction, C: Polytope, run: RunConfig | None = None,
     box take that box's z and value.
 
     When the true integral optimum is supplied (desk-scale instances), the
-    per-theta lower-bound diagnostics are evaluated and attached; they are
-    recorded, not enforced.
+    per-theta lower-bound diagnostics are evaluated and attached; ``solve``
+    records them, and ``verify.solver_checks`` requires every one to hold.
     """
     if run is None:
         run = RunConfig()
@@ -444,6 +353,5 @@ def solve(f: SetFunction, C: Polytope, run: RunConfig | None = None,
             best, best_value, best_theta, best_branch = r.z, r.z_value, r.theta, "double-greedy"
     report = SolveReport(best, best_value, best_theta, best_branch, per_theta)
     if opt_value is not None:
-        report.diagnostics = bound_diagnostics(run, per_theta, opt_value,
-                                               max_singleton(f), f.n)
+        report.diagnostics = bound_diagnostics(run, per_theta, opt_value)
     return report

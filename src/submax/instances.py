@@ -358,8 +358,7 @@ def run_instance(inst: InstanceFile, run: RunConfig | None = None,
         branch_best=report.best_branch,
         per_theta=[{"theta": r.theta, "y1_value": r.y1_value,
                     "z_value": r.z_value} for r in report.per_theta],
-        diagnostics=[{"name": d.name, "theta": d.theta, "passed": d.passed,
-                      "passed_strict": d.passed_strict}
+        diagnostics=[{"name": d.name, "theta": d.theta, "passed": d.passed}
                      for d in report.diagnostics],
         wall_clock=elapsed,
     )

@@ -17,8 +17,8 @@ Three evaluation modes are supported:
 ``multilinear_batch`` evaluates F in every mode; ``multilinear`` is its
 one-row case.  ``multilinear_batch``, ``one_coordinate_gradient`` and the
 families' ``closed_form_*`` kernels take an (R, n) batch, as the solver's
-Euler loop and the double greedy run them; ``multilinear``, ``gradient`` and
-``residual_gradient`` take one point (``_point``).  In exact and mc modes,
+Euler loop and the double greedy run them; ``multilinear`` and ``gradient``
+take one point (``_point``).  In exact and mc modes,
 and for explicit tables, partial derivatives go through the one-coordinate
 identity, 2n rows of one batch: dF/dx_i = F(x with x_i=1) - F(x with x_i=0).
 Because F is multilinear this is exact; no finite-difference fuzz is ever
@@ -475,6 +475,14 @@ class Coverage(SetFunction):
         items = _indices(list(chain.from_iterable(covers)), m, "covered item")
         self.incidence = np.zeros((self.n, m), dtype=bool)
         self.incidence[owners, items] = True
+        # every partial sums the weights of the element's items, so a
+        # gradient's l1 norm, and <g, v> for any v in [0, 1]^n, is at most
+        # sum_j w_j * deg_j; it must be finite as the weights' sum must be
+        with np.errstate(over="ignore"):  # an overflowing bound is the error below
+            bound = self.incidence.sum(axis=0) @ self.item_weights
+        if not np.isfinite(bound):
+            raise ValueError("item weights times their covering degrees must have "
+                             "a finite sum, which bounds the gradient")
 
     @cached_property
     def owners(self) -> np.ndarray:
@@ -671,13 +679,6 @@ def gradient(f: SetFunction, x, cfg: EstimatorConfig | None = None) -> np.ndarra
     if cfg.mode == "closed":
         return f.closed_form_grad(xv)
     return one_coordinate_gradient(f, xv, cfg)
-
-
-def residual_gradient(f: SetFunction, x, cfg: EstimatorConfig | None = None) -> np.ndarray:
-    """gradient(f, x) * (1 - x) at the one point x, the effective gain
-    direction under the multiplicative update."""
-    xv = as_array(x)
-    return gradient(f, xv, cfg) * (1.0 - xv)
 
 
 def max_singleton(f: SetFunction) -> float:

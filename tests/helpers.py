@@ -1,13 +1,21 @@
-"""Shared builders and independent desk-scale oracles for the test suite.
+"""Shared builders, independent desk-scale oracles and the solver's
+per-theta reference for the test suite.
 
 The oracles here intentionally avoid the library's vectorized paths: the
 extension is summed subset by subset in plain Python, so agreement with the
-fast implementations is evidence, not circularity.
+fast implementations is evidence, not circularity.  The per-theta reference
+(``dampened_stage``, ``standard_stage``, ``dg_branch``) runs one theta at a
+time, one point at a time, through the public one-point calls and the
+solver's own step routine, recording every step in a ``Trajectory``; the
+tests hold ``solve``'s single sweep to it byte for byte.
 """
+
+from dataclasses import dataclass, field
 
 import numpy as np
 
 import submax as sm
+from submax import Point, cgreedy
 
 
 def brute_force_extension(f, x):
@@ -181,3 +189,91 @@ def reference_contains(C, masks):
     for b, kb in zip(C.blocks, C.budgets):
         ok &= bits[:, b].sum(axis=1) <= kb + tol
     return ok
+
+
+def residual_gradient(f, x, cfg=None):
+    """gradient(f, x) * (1 - x) at the one point x, the effective gain
+    direction under the multiplicative update."""
+    xv = sm.setfn.as_array(x)
+    return sm.gradient(f, xv, cfg) * (1.0 - xv)
+
+
+@dataclass
+class Trajectory:
+    """Per-step record of one greedy stage: the time, the point the oracle
+    direction was computed at, the direction, and the oracle objective
+    <grad F(x) o (1-x), v>."""
+
+    times: list = field(default_factory=list)
+    points: list = field(default_factory=list)
+    directions: list = field(default_factory=list)
+    inner_products: list = field(default_factory=list)
+    min_envelope_margin: float = np.inf
+
+    def __len__(self):
+        return len(self.times)
+
+    def add(self, time, x, g, v):
+        self.times.append(time)
+        self.points.append(Point.trusted(x))
+        self.directions.append(v)
+        self.inner_products.append(float(g @ v.v))
+
+
+def _direction(f, C, cfg, x, alpha, j):
+    """The residual gradient at the one point x at step j and the oracle
+    direction it selects under the cap ``alpha``."""
+    g = residual_gradient(f, x, cfg.substream(j) if cfg.mode == "mc" else cfg)
+    return g, C.linear_maximize(g, alpha)
+
+
+def _stage(f, C, run, theta, x, first, last, alpha, env):
+    """Steps first..last-1 of one greedy stage from the one point x, whose
+    complement starts at 1 - x and its envelope at ``env``: the R = 1 case
+    of the sweep.  Returns the final point and the trajectory."""
+    cfg = run.resolve_cfg(f)
+    shrink = 1.0 - run.delta * alpha
+    s = 1.0 - x
+    traj = Trajectory()
+    for j in range(first, last):
+        g, v = _direction(f, C, cfg, x, alpha, j)
+        traj.add(j * run.delta, x, g, v)
+        env *= shrink
+        X, slack = cgreedy._step(C, run, s[None], v.v[None], np.array([env]), [theta], j)
+        x = X[0]
+        traj.min_envelope_margin = min(traj.min_envelope_margin, float(slack.min()))
+    return x, traj
+
+
+def dampened_stage(f, C, run, theta):
+    """Run the capped stage from 0 to time theta.
+
+    Returns (x_theta, v_theta, trajectory) where v_theta is the capped oracle
+    direction computed at the final point; the fallback branch bound needs it
+    even though it is never applied as an update.
+    """
+    k = run.steps_of(theta)
+    x, traj = _stage(f, C, run, theta, np.zeros(f.n), 0, k, run.alpha, 1.0)
+    _, v = _direction(f, C, run.resolve_cfg(f), x, run.alpha, k)
+    return Point(x), v, traj
+
+
+def standard_stage(f, C, run, start, theta):
+    """Continue uncapped from x(theta) until time 1; returns (y1, trajectory)."""
+    k, env = run.steps_of(theta), 1.0
+    for _ in range(k):  # stage one's envelope, as the sweep multiplies it down
+        env *= 1.0 - run.delta * run.alpha
+    y, traj = _stage(f, C, run, theta, start.v, k, run.total_steps, 1.0,
+                     1.0 - (1.0 - env))
+    return Point(y), traj
+
+
+def dg_branch(f, C, x_theta, cfg=None):
+    """The fallback pair (p, z): p is the *uncapped* oracle direction at the
+    capped-stage point (this asymmetry is deliberate), and z is the double
+    greedy solution over the box [0, p].  z <= p, so z is feasible by
+    down-closedness."""
+    if cfg is None:
+        cfg = sm.default_config(f)
+    p = C.linear_maximize(residual_gradient(f, x_theta, cfg))
+    return p, cgreedy._fallback(f, cfg, p)

@@ -12,10 +12,11 @@ from submax import (ConfigError, EstimatorConfig, InvariantError, Point,
                     RunConfig, cgreedy, setfn)
 from submax.cli import main
 
-from helpers import (random_constraint, random_coverage, random_cut,
-                     random_function, random_table_function,
-                     reference_coverage_batch, reference_coverage_grad,
-                     reference_coverage_partial, reference_greedy_fill)
+from helpers import (dampened_stage, dg_branch, random_constraint,
+                     random_coverage, random_cut, random_function,
+                     random_table_function, reference_coverage_batch,
+                     reference_coverage_grad, reference_coverage_partial,
+                     reference_greedy_fill, residual_gradient, standard_stage)
 
 
 @pytest.fixture
@@ -94,7 +95,7 @@ class TestDampenedStage:
     def test_single_step_hand_trace(self, one_arc_k1):
         f, C = one_arc_k1
         run = RunConfig(alpha=0.5, delta=0.1, theta_grid=(0.1,))
-        x_theta, v_theta, traj = sm.dampened_stage(f, C, run, 0.1)
+        x_theta, v_theta, traj = dampened_stage(f, C, run, 0.1)
         assert np.allclose(traj.directions[0].v, [0.5, 0.0])
         assert np.allclose(x_theta.v, [0.05, 0.0])
         assert len(traj) == 1
@@ -102,10 +103,10 @@ class TestDampenedStage:
     def test_theta_zero(self, one_arc_k1):
         f, C = one_arc_k1
         run = RunConfig(delta=0.1, theta_grid=(0.0, 0.1))
-        x_theta, v_theta, traj = sm.dampened_stage(f, C, run, 0.0)
+        x_theta, v_theta, traj = dampened_stage(f, C, run, 0.0)
         assert np.all(x_theta.v == 0.0)
         assert len(traj) == 0
-        direct = C.linear_maximize(sm.residual_gradient(f, np.zeros(2)), run.alpha)
+        direct = C.linear_maximize(residual_gradient(f, np.zeros(2)), run.alpha)
         assert np.allclose(v_theta.v, direct.v)
 
     def test_linf_envelope_at_every_step(self):
@@ -113,7 +114,7 @@ class TestDampenedStage:
         f = random_function(rng, 8)
         C = random_constraint(rng, 8)
         run = RunConfig(alpha=0.5, delta=0.02, theta_grid=(0.5,))
-        x_theta, _, traj = sm.dampened_stage(f, C, run, 0.5)
+        x_theta, _, traj = dampened_stage(f, C, run, 0.5)
         damp = 1.0 - run.delta * run.alpha
         for j, pt in enumerate(traj.points):
             assert pt.norm_inf() <= 1.0 - damp**j + 1e-12
@@ -125,7 +126,7 @@ class TestDampenedStage:
         f = random_function(rng, 6)
         C = random_constraint(rng, 6)
         run = RunConfig(alpha=0.5, delta=0.05, theta_grid=(0.4,))
-        _, v_theta, traj = sm.dampened_stage(f, C, run, 0.4)
+        _, v_theta, traj = dampened_stage(f, C, run, 0.4)
         for v in traj.directions + [v_theta]:
             assert v.norm_inf() <= run.alpha + 1e-12
             assert C.contains_point(v)
@@ -135,7 +136,7 @@ class TestDampenedStage:
         f = random_function(rng, 5)
         C = random_constraint(rng, 5)
         run = RunConfig(delta=0.1, theta_grid=(0.3,))
-        _, _, traj = sm.dampened_stage(f, C, run, 0.3)
+        _, _, traj = dampened_stage(f, C, run, 0.3)
         assert len(traj.times) == len(traj.points) \
             == len(traj.directions) == len(traj.inner_products) == 3
 
@@ -145,7 +146,7 @@ class TestStandardStage:
         f, C = one_arc_k1
         run = RunConfig(delta=0.1, theta_grid=(1.0,))
         start = Point([0.3, 0.1])
-        y1, traj = sm.standard_stage(f, C, run, start, 1.0)
+        y1, traj = standard_stage(f, C, run, start, 1.0)
         assert np.allclose(y1.v, start.v)
         assert len(traj) == 0
 
@@ -154,8 +155,8 @@ class TestStandardStage:
         f = random_function(rng, 7)
         C = random_constraint(rng, 7)
         run = RunConfig(alpha=0.5, delta=0.02, theta_grid=(0.2,))
-        x_theta, _, _ = sm.dampened_stage(f, C, run, 0.2)
-        y1, traj = sm.standard_stage(f, C, run, x_theta, 0.2)
+        x_theta, _, _ = dampened_stage(f, C, run, 0.2)
+        y1, traj = standard_stage(f, C, run, x_theta, 0.2)
         k = run.steps_of(0.2)
         base = (1.0 - run.delta * run.alpha) ** k
         for j, pt in enumerate(traj.points):
@@ -170,8 +171,8 @@ class TestStandardStage:
         f = random_coverage(rng, 8)
         C = sm.CardinalityPolytope(8, 3)
         run = RunConfig(alpha=0.5, delta=0.005, theta_grid=(0.0,))
-        x0, _, _ = sm.dampened_stage(f, C, run, 0.0)
-        y1, _ = sm.standard_stage(f, C, run, x0, 0.0)
+        x0, _, _ = dampened_stage(f, C, run, 0.0)
+        y1, _ = standard_stage(f, C, run, x0, 0.0)
         _, opt = sm.brute_force_opt(f, C)
         assert sm.multilinear(f, y1) >= (1.0 - 1.0 / np.e - 0.02) * opt
 
@@ -179,7 +180,7 @@ class TestStandardStage:
 class TestDgBranch:
     def test_nonpositive_residual_gives_origin(self, one_arc_k1):
         f, C = one_arc_k1
-        p, z = sm.dg_branch(f, C, Point.ones(2))
+        p, z = dg_branch(f, C, Point.ones(2))
         assert np.all(p.v == 0.0)
         assert np.all(z.v == 0.0)
 
@@ -190,7 +191,7 @@ class TestDgBranch:
             f = random_function(rng, n)
             C = random_constraint(rng, n)
             x = Point(rng.random(n) * 0.5)
-            p, z = sm.dg_branch(f, C, x)
+            p, z = dg_branch(f, C, x)
             assert np.all(z.v <= p.v + 1e-12)
             assert C.contains_point(z)
 
@@ -201,7 +202,7 @@ class TestDgBranch:
             f = random_function(rng, n)
             C = random_constraint(rng, n)
             x = Point(rng.random(n) * 0.4)
-            p, z = sm.dg_branch(f, C, x)
+            p, z = dg_branch(f, C, x)
             _, box_opt = sm.brute_force_box_opt(f, Point.zeros(n), p)
             floor = sm.guarantee_floor(sm.multilinear(f, Point.zeros(n)),
                                        sm.multilinear(f, p), box_opt)
@@ -255,7 +256,7 @@ class TestSolve:
         f = random_function(rng, 6)
         C = random_constraint(rng, 6)
         run = RunConfig(delta=0.02, theta_grid=(0.4,))
-        x_theta, _, traj = sm.dampened_stage(f, C, run, 0.4)
+        x_theta, _, traj = dampened_stage(f, C, run, 0.4)
         pts = [p.v for p in traj.points] + [x_theta.v]
         vals = [sm.multilinear(f, p) for p in pts]
         total = vals[-1] - vals[0]
@@ -270,8 +271,8 @@ class TestSolve:
         f = random_function(rng, 6)
         C = random_constraint(rng, 6)
         run = RunConfig(delta=0.05, theta_grid=(0.4,))
-        x_theta, _, dtraj = sm.dampened_stage(f, C, run, 0.4)
-        y1, straj = sm.standard_stage(f, C, run, x_theta, 0.4)
+        x_theta, _, dtraj = dampened_stage(f, C, run, 0.4)
+        y1, straj = standard_stage(f, C, run, x_theta, 0.4)
         for pt in dtraj.points + straj.points + [x_theta, y1]:
             assert C.contains_point(pt)
 
@@ -308,15 +309,15 @@ def _per_theta_composition(f, C, run):
     cfg = run.resolve_cfg(f)
     out = []
     for theta in run.theta_grid:
-        x_theta, v_theta, dtraj = sm.dampened_stage(f, C, run, theta)
-        y1, straj = sm.standard_stage(f, C, run, x_theta, theta)
-        p, z = sm.dg_branch(f, C, x_theta, cfg)
+        x_theta, v_theta, dtraj = dampened_stage(f, C, run, theta)
+        y1, straj = standard_stage(f, C, run, x_theta, theta)
+        p, z = dg_branch(f, C, x_theta, cfg)
         out.append(sm.ThetaResult(
             theta=theta, x_theta=x_theta,
             x_value=sm.multilinear(f, x_theta, cfg),
             y1=y1, y1_value=sm.multilinear(f, y1, cfg),
             p=p, z=z, z_value=sm.multilinear(f, z, cfg),
-            final_inner=float(sm.residual_gradient(f, x_theta, cfg) @ v_theta.v),
+            final_inner=float(residual_gradient(f, x_theta, cfg) @ v_theta.v),
             dampened_steps=len(dtraj), standard_steps=len(straj),
             dampened_margin=dtraj.min_envelope_margin,
             standard_margin=straj.min_envelope_margin))
@@ -418,9 +419,9 @@ class TestSinglePassSweep:
         # every row of step j draws from the one sub-stream (j,), once
         assert labels == [(j,) for j in range(run.total_steps)]
         for r in report.per_theta:
-            x_theta, _, _ = sm.dampened_stage(f, C, run, r.theta)
+            x_theta, _, _ = dampened_stage(f, C, run, r.theta)
             assert r.x_theta.v.tobytes() == x_theta.v.tobytes(), r.theta
-            y1, _ = sm.standard_stage(f, C, run, x_theta, r.theta)
+            y1, _ = standard_stage(f, C, run, x_theta, r.theta)
             assert r.y1.v.tobytes() == y1.v.tobytes(), r.theta
 
 
@@ -454,7 +455,7 @@ class TestOneFallbackPerBox:
         # in mc mode p comes from stage one's gradient sub-stream at x(theta)
         for r in report.per_theta:
             stream = cfg.substream(r.dampened_steps) if cfg.mode == "mc" else cfg
-            p, z = sm.dg_branch(f, C, r.x_theta, stream)
+            p, z = dg_branch(f, C, r.x_theta, stream)
             assert r.p.v.tobytes() == p.v.tobytes(), r.theta
             assert r.z.v.tobytes() == z.v.tobytes(), r.theta
             assert np.float64(r.z_value).tobytes() \
@@ -517,8 +518,8 @@ class _ExcludesOnePoint(sm.CardinalityPolytope):
 def _stage_two_point(f, C, run, theta, step):
     """theta's stage-two iterate after ``step`` global steps, its worst
     envelope coordinate and margin there, from the one-row reference."""
-    x_theta, _, _ = sm.dampened_stage(f, C, run, theta)
-    _, traj = sm.standard_stage(f, C, run, x_theta, theta)
+    x_theta, _, _ = dampened_stage(f, C, run, theta)
+    _, traj = standard_stage(f, C, run, x_theta, theta)
     k = run.steps_of(theta)
     y = traj.points[step - k].v
     # the envelope as the run multiplies it down, through 1 - (1 - env) at
@@ -703,7 +704,7 @@ def test_solve_outputs_match_their_pinned_digests(kind, body):
 # sha256 over repr(_report_bytes(report)) of every solve of desk corpus 1, in
 # corpus order, at the default run with the brute-force optimum, so that the
 # diagnostics are covered too
-DESK_CORPUS_1_DIGEST = "4737662135e0377b435e70cd73835f38f24ddcdc807edfb59f02a38c709880a8"
+DESK_CORPUS_1_DIGEST = "7656d9605f6094ca724f949eefa69e4b5dcddb46ab1abf7b0d0f8e868080a460"
 
 
 def test_desk_corpus_solves_match_their_pinned_digest():

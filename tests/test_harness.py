@@ -2,11 +2,16 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+import tomllib
 import tracemalloc
 from functools import reduce
 from operator import getitem
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -308,6 +313,28 @@ class TestThetaGridParsing:
             parse_theta_grid("0:0.2:1", delta=0.25)
 
 
+SRC = Path(sm.__file__).resolve().parents[1]
+
+
+def _cli(*args):
+    """``python -m submax.cli`` with ``args`` in a fresh interpreter, the
+    package's source first on PYTHONPATH."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "submax.cli", *args],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+def _scaled_coverage(factor):
+    """Desk corpus 1's coverage-partition-matroid-n10-s7105371993765676830
+    with every item weight times ``factor``, as a document."""
+    inst = sm.gen("coverage", 10, "partition-matroid", 7105371993765676830)
+    assert inst.name == "coverage-partition-matroid-n10-s7105371993765676830"
+    doc = json.loads(inst.to_json())
+    doc["function"]["item_weights"] = [w * factor for w in doc["function"]["item_weights"]]
+    return doc
+
+
 class TestCli:
     def test_gen_solve_flow(self, tmp_path, capsys):
         inst_path = tmp_path / "inst.json"
@@ -579,15 +606,30 @@ class TestCli:
         assert "overall" in text
 
     def test_console_script_entry_point(self):
-        import shutil
-        import subprocess
-        exe = shutil.which("submax")
-        if exe is None:
-            pytest.skip("console script not on PATH")
-        res = subprocess.run([exe, "bound", "--alpha", "0.5", "--theta", "0.18"],
-                             capture_output=True, text=True)
+        # the script pyproject.toml installs is cli.main, run here as a module
+        project = tomllib.loads((SRC.parent / "pyproject.toml").read_text())
+        assert project["project"]["scripts"]["submax"] == "submax.cli:main"
+        res = _cli("bound", "--alpha", "0.5", "--theta", "0.18")
         assert res.returncode == 0
         assert "0.3721" in res.stdout
+
+    def test_coverage_whose_gradient_bound_overflows_exits_2(self, tmp_path):
+        # the weights sum to 1.74e308, but sum_j w_j deg_j, which bounds
+        # <grad, v> in the solve, does not fit a float
+        p = tmp_path / "inst.json"
+        p.write_text(json.dumps(_scaled_coverage(1.7e307)))
+        res = _cli("solve", str(p), "--delta", "0.02")
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: invalid coverage function payload")
+        assert "Traceback" not in res.stderr and "Warning" not in res.stderr
+
+    def test_coverage_with_a_finite_gradient_bound_solves(self):
+        # sum_j w_j deg_j = 1.52e308 is finite: the file builds and solves
+        doc = _scaled_coverage(5e306)
+        rec = sm.run_instance(sm.InstanceFile.from_json(json.dumps(doc)),
+                              sm.RunConfig(delta=0.02))
+        assert rec.ratio >= 0.372
+        assert all(d["passed"] for d in rec.diagnostics)
 
 
 # ---------------------------------------------------------------------------

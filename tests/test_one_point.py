@@ -21,7 +21,6 @@ ONE_POINT_CALLS = {
     "contains_point": lambda x: C.contains_point(x),
     "multilinear": lambda x: sm.multilinear(F, x),
     "gradient": lambda x: sm.gradient(F, x),
-    "residual_gradient": lambda x: sm.residual_gradient(F, x),
     "lp_brute_force": lambda x: sm.lp_brute_force(C, x, 0.5),
     "check_x_or_opt": lambda x: sm.check_x_or_opt(F, x, {0}),
     "brute_force_box_opt-lower": lambda x: sm.brute_force_box_opt(F, x, np.ones(N)),

@@ -170,14 +170,6 @@ class TestGradient:
                             - brute_force_extension(f, x)) / step
                 assert g[i] == pytest.approx(quotient, abs=1e-9)
 
-    def test_residual_gradient(self, one_arc):
-        r = sm.residual_gradient(one_arc, [0.5, 0.5], CLOSED)
-        assert np.allclose(r, [0.25, -0.25], atol=1e-15)
-        at_zero = sm.residual_gradient(one_arc, [0.0, 0.0], CLOSED)
-        assert np.allclose(at_zero, sm.gradient(one_arc, [0.0, 0.0], CLOSED))
-        at_one = sm.residual_gradient(one_arc, [1.0, 1.0], CLOSED)
-        assert np.allclose(at_one, [0.0, 0.0])
-
 
 def _coverage_with_gaps(rng, n):
     """Element 0 covers nothing and the last item is covered by no element."""
@@ -255,7 +247,6 @@ class TestBatchGradient:
         assert G.shape == (R, f.n)
         for x, g in zip(X, G):
             assert g.tobytes() == sm.gradient(f, x, cfg).tobytes()
-            assert (g * (1.0 - x)).tobytes() == sm.residual_gradient(f, x, cfg).tobytes()
 
 
 class TestCoverageOwnerTable:
@@ -274,6 +265,19 @@ class TestCoverageOwnerTable:
         X = rng.random((1000, 40))
         X[rng.random(X.shape) < 0.1] = 1.0
         assert f.closed_form_batch(X).tobytes() == reference_coverage_batch(f, X).tobytes()
+
+
+@pytest.mark.parametrize("weight, ok", [(1e308, False), (5e307, True)])
+def test_coverage_gradient_bound_must_be_finite(weight, ok):
+    # item 0 has two owners, so it counts twice in the gradient's l1 bound
+    # sum_j w_j deg_j: at 1e308 that bound overflows, the weights' sum not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if ok:
+            sm.Coverage(2, [[0, 1], [0]], [weight, 1.0])
+        else:
+            with pytest.raises(ValueError, match="finite sum, which bounds the gradient"):
+                sm.Coverage(2, [[0, 1], [0]], [weight, 1.0])
 
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 14),

@@ -1,5 +1,6 @@
 """Brute-force oracles, the approximation constant, and the check suite."""
 
+import dataclasses
 from itertools import combinations
 
 import numpy as np
@@ -198,6 +199,21 @@ class TestLpBruteForce:
             sm.lp_brute_force(C, w, 0.5)
 
 
+def _halve_y1(monkeypatch):
+    """Every greedy candidate's value, as the bounds read it, halved."""
+    diagnostics = sm.cgreedy.bound_diagnostics
+    monkeypatch.setattr(sm.cgreedy, "bound_diagnostics", lambda run, results, opt:
+                        diagnostics(run, [dataclasses.replace(r, y1_value=0.5 * r.y1_value)
+                                          for r in results], opt))
+
+
+def _halve_fill(monkeypatch):
+    """The capped oracle filling half of what it should."""
+    fill = sm.polytope.Polytope._greedy_fill
+    monkeypatch.setattr(sm.polytope.Polytope, "_greedy_fill",
+                        lambda C, W, plan: 0.5 * fill(C, W, plan))
+
+
 class TestPropertySuite:
     def test_clean_instance_passes_all_hard_checks(self):
         inst = sm.gen("directed-cut", 6, "cardinality", 12)
@@ -241,6 +257,20 @@ class TestPropertySuite:
         fallback = sm.cgreedy._fallback
         monkeypatch.setattr(sm.cgreedy, "_fallback",
                             lambda f, cfg, p: Point(0.5 * fallback(f, cfg, p).v))
+        check = {r.name: r for r in sm.verify.solver_checks(f, C, run)}[name]
+        assert check.hard and not check.passed
+
+    @pytest.mark.parametrize("mutate", [_halve_y1, _halve_fill],
+                             ids=["halved-y1", "halved-oracle-fill"])
+    def test_bound_line_catches_a_weakened_branch(self, monkeypatch, mutate):
+        # each mutation weakens a branch and breaks no invariant of the run:
+        # only the bounds, held exactly, can catch it
+        name = "branch lower bounds hold exactly"
+        f, C = sm.gen("directed-cut", 6, "cardinality", 0).build()
+        run = sm.RunConfig(delta=0.05, theta_grid=(0.0, 0.2, 0.5))
+        check = {r.name: r for r in sm.verify.solver_checks(f, C, run)}[name]
+        assert check.hard and check.passed
+        mutate(monkeypatch)
         check = {r.name: r for r in sm.verify.solver_checks(f, C, run)}[name]
         assert check.hard and not check.passed
 
