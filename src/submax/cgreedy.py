@@ -50,6 +50,7 @@ fill), s >= env, the box and every packing-row sum.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,7 +76,9 @@ class RunConfig:
 
     ``delta`` must divide 1 so the time grid ends exactly at 1, in at most
     ``STEP_LIMIT`` steps, and every theta must be a step-count multiple of
-    delta; all are validated here rather than discovered mid-run.
+    delta; all are validated here rather than discovered mid-run.  Without
+    a grid the run takes the thetas of ``default_theta_grid()`` that are
+    multiples of delta.
     """
 
     alpha: float = 0.5
@@ -95,7 +98,7 @@ class RunConfig:
         if total < 1 or abs(total * self.delta - 1.0) > 1e-9:
             raise ConfigError(f"delta must divide the unit interval, got {self.delta}")
         if self.theta_grid is None:
-            grid = default_theta_grid()
+            grid = tuple(t for t in default_theta_grid() if self._on_grid(t))
         else:
             try:
                 grid = tuple(_unit(t, "theta") for t in self.theta_grid)
@@ -114,40 +117,40 @@ class RunConfig:
     def total_steps(self) -> int:
         return round(1.0 / self.delta)
 
+    def _on_grid(self, theta: float) -> bool:
+        return 0.0 <= theta <= 1.0 \
+            and abs(theta - round(theta / self.delta) * self.delta) <= THETA_TOL
+
     def steps_of(self, theta: float) -> int:
-        k = round(theta / self.delta)
-        if not (0.0 <= theta <= 1.0) or abs(theta - k * self.delta) > THETA_TOL:
+        if not self._on_grid(theta):
             raise ConfigError(f"theta {theta} is not a multiple of delta {self.delta}")
-        return k
+        return round(theta / self.delta)
 
     def resolve_cfg(self, f: SetFunction) -> EstimatorConfig:
         return self.cfg if self.cfg is not None else default_config(f)
 
 
 def _step(C: Polytope, run: RunConfig, S: np.ndarray, V: np.ndarray,
-          env: np.ndarray, thetas: list[float], j: int):
+          env: np.ndarray, theta_of: Callable[[int], float], j: int) -> np.ndarray:
     """Euler step j -> j+1 of every row, on its complement, in place:
     S <- S o (1 - delta*V).
 
-    Asserts each row's l-inf envelope s >= env[r], with no tolerance, and
-    membership of every new iterate X = 1 - S in C, reporting a violation
-    against thetas[r]; returns the new iterates and the envelope slack
-    S - env of every coordinate of every row.
+    Asserts each row's l-inf envelope min(s) >= env[r], with no tolerance,
+    and membership of every new iterate X = 1 - S in C, reporting a
+    violation in row r against theta_of(r) with the worst coordinate and
+    slack of s - env[r]; returns the new iterates.
     """
     S *= 1.0 - run.delta * V
-    slack = S - env[:, None]
-    if slack.min() < 0:
-        margin = slack.min(axis=1)
-        r = int(np.argmax(margin < 0))
-        raise InvariantError("l-inf envelope violated", thetas[r], j + 1,
-                             int(np.argmin(slack[r])), float(margin[r]))
-    X = 1.0 - S
-    inside = C._inside(X)
-    if not inside.all():
-        r = int(np.argmin(inside))
-        raise InvariantError("iterate left the constraint body", thetas[r], j + 1,
-                             int(np.argmin(slack[r])), float(slack[r].min()))
-    return X, slack
+    what, bad = "l-inf envelope violated", S.min(axis=1) < env
+    if not bad.any():
+        X = 1.0 - S
+        what, bad = "iterate left the constraint body", ~C._inside(X)
+        if not bad.any():
+            return X
+    r = int(np.argmax(bad))  # the first row in violation
+    slack = S[r] - env[r]
+    raise InvariantError(what, theta_of(r), j + 1, int(np.argmin(slack)),
+                         float(slack.min()))
 
 
 def _fallback(f: SetFunction, cfg: EstimatorConfig, p: Point) -> Point:
@@ -169,8 +172,6 @@ class ThetaResult:
     final_inner: float      # <grad F(x_theta) o (1-x_theta), v_theta>
     dampened_steps: int
     standard_steps: int
-    dampened_margin: float  # worst slack of the stage-one envelope
-    standard_margin: float
 
 
 @dataclass(frozen=True)
@@ -241,6 +242,10 @@ def solve(f: SetFunction, C: Polytope, run: RunConfig | None = None,
     by p's bytes, for itself only, and thetas whose p repeats an earlier
     box take that box's z and value.
 
+    Every step asserts each row's l-inf envelope and membership in C
+    (``_step``), so a solve that returns held both exactly at every step;
+    the report keeps no record of the slack.
+
     When the true integral optimum is supplied (desk-scale instances), the
     per-theta lower-bound diagnostics are evaluated and attached; ``solve``
     records them, and ``verify.solver_checks`` requires every one to hold.
@@ -257,22 +262,24 @@ def solve(f: SetFunction, C: Polytope, run: RunConfig | None = None,
     mc = cfg.mode == "mc"
     # the batch: stage one's complement s = 1 - x in row 0 up to step K,
     # then the stage-two complement of every theta switched so far, in grid
-    # order, and their points X = 1 - S; per row its envelope, the
-    # envelope's factor per step, the worst slack of each of its coordinates
-    # so far (a row's margin is their minimum), and the theta a violation is
-    # reported against.  The batch never holds more than stage one's row and
-    # one row per theta, so each of these lives in rows lo..hi-1 of a buffer
-    # of that many rows, and a switching theta fills the next free rows.
+    # order, and their points X = 1 - S; per row its envelope and the
+    # envelope's factor per step.  The batch never holds more than stage
+    # one's row and one row per theta, so each of these lives in rows
+    # lo..hi-1 of a buffer of that many rows, and a switching theta fills
+    # the next free rows: buffer row b >= 1 is theta grid[b-1]'s.
     top, n = len(grid) + 1, f.n
     S_rows, env_rows = np.ones((top, n)), np.ones(top)
-    low_rows = np.full((top, n), np.inf)
     shrink = np.full(top, 1.0 - run.delta)
     shrink[0] = 1.0 - run.delta * run.alpha
     G_rows = np.empty((top, n))  # the step's oracle weights
-    lo, hi, X, thetas = 0, 1, np.zeros((1, n)), [grid[0]]
-    branch = []  # per theta: x_theta, g and v_theta there, its box, stage-one margin
+    lo, hi, X = 0, 1, np.zeros((1, n))
+    branch = []  # per theta: x_theta, g and v_theta there, its box
     boxes = {}   # per distinct box [0, p], keyed by p's bytes: (p, z, F(z))
     nxt = 0      # the first theta not switched yet
+
+    def theta_of(r):  # batch row r's theta; stage one's is the next to switch
+        return grid[lo + r - 1] if lo + r else grid[nxt]
+
     # the oracle's plans: each step's plan is the first rows of one of two
     # built here, with row 0 capped at alpha while it is stage one's and
     # every other row's cap 1
@@ -311,37 +318,28 @@ def solve(f: SetFunction, C: Polytope, run: RunConfig | None = None,
                 z = _fallback(f, cfg, p)
                 boxes[key] = (p, z, multilinear(f, z, cfg))
             for _ in range(first, nxt):
-                branch.append((Point.trusted(X[0].copy()), G[0].copy(), v, boxes[key],
-                               float(low_rows[0].min())))
+                branch.append((Point.trusted(X[0].copy()), G[0].copy(), v, boxes[key]))
             if j < T:  # their stage-two rows, whose first directions are p;
                 # s and env both pass through t -> 1 - t, which is monotone
                 S_rows[hi:hi + new] = 1.0 - X[0]
                 env_rows[hi:hi + new] = 1.0 - (1.0 - env_rows[0])
                 hi += new
-                thetas += grid[first:nxt]
         if j == T:
             break
         if j == K:  # stage one ends at the last theta
-            lo, D, thetas = 1, D[1:], thetas[1:]
-        elif j < K:  # report stage one's step against the next theta
-            thetas[0] = grid[nxt]
+            lo, D = 1, D[1:]
         env = env_rows[lo:hi]
         np.multiply(env, shrink[lo:hi], out=env)
-        X, slack = _step(C, run, S_rows[lo:hi], D, env, thetas, j)
-        np.minimum(low_rows[lo:hi], slack, out=low_rows[lo:hi])
+        X = _step(C, run, S_rows[lo:hi], D, env, theta_of, j)
     per_theta = []
-    two = sum(k < T for k in steps)
-    rows = iter(zip(X[len(X) - two:], low_rows[hi - two:hi].min(axis=1)))
-    for theta, k, (x_theta, g, v, (p, z, z_value), dampened_margin) \
-            in zip(grid, steps, branch):
-        y, standard_margin = next(rows) if k < T else (x_theta.v, np.inf)
-        y1 = Point(y)
+    rows = iter(X[len(X) - sum(k < T for k in steps):])
+    for theta, k, (x_theta, g, v, (p, z, z_value)) in zip(grid, steps, branch):
+        y1 = Point(next(rows) if k < T else x_theta.v)
         per_theta.append(ThetaResult(
             theta=theta, x_theta=x_theta, x_value=multilinear(f, x_theta, cfg),
             y1=y1, y1_value=multilinear(f, y1, cfg), p=p, z=z, z_value=z_value,
             final_inner=float(g @ v.v),
-            dampened_steps=k, standard_steps=T - k,
-            dampened_margin=dampened_margin, standard_margin=float(standard_margin)))
+            dampened_steps=k, standard_steps=T - k))
     best = Point.zeros(f.n)
     best_value = multilinear(f, best, cfg)
     best_theta: float | None = None

@@ -364,10 +364,10 @@ class ExplicitTable(SetFunction):
         return self.values[masks]
 
 
-def _check_submodular_table(vals: np.ndarray, n: int, tol: float = 1e-9) -> None:
-    """Pairwise check f(S+i) + f(S+j) >= f(S+i+j) + f(S): over every (S, i, j)
-    for n <= SUBMOD_CHECK_LIMIT, over SUBMOD_SAMPLES seeded draws above, so a
-    given table is always accepted or always rejected."""
+def _check_submodular_table(vals: np.ndarray, n: int) -> None:
+    """Pairwise check f(S+i) + f(S+j) >= f(S+i+j) + f(S) - 1e-12 max|f|: over
+    every (S, i, j) for n <= SUBMOD_CHECK_LIMIT, over SUBMOD_SAMPLES seeded
+    draws above, so a given table is always accepted or always rejected."""
     if n <= SUBMOD_CHECK_LIMIT:
         pi, pj = np.triu_indices(n, 1)
         i, j = np.repeat(pi, vals.size), np.repeat(pj, vals.size)
@@ -382,7 +382,7 @@ def _check_submodular_table(vals: np.ndarray, n: int, tol: float = 1e-9) -> None
     bi, bj = np.left_shift(1, i), np.left_shift(1, j)
     base = S & ~(bi | bj)
     gap = vals[base | bi] + vals[base | bj] - vals[base | bi | bj] - vals[base]
-    if gap.size and gap.min() < -tol:
+    if gap.size and gap.min() < -1e-12 * float(np.abs(vals).max()):
         k = int(np.argmin(gap))
         raise ValueError(f"table is not submodular{how}: violated at "
                          f"S=mask {int(base[k])}, i={int(i[k])}, j={int(j[k])}")

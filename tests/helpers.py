@@ -208,7 +208,6 @@ class Trajectory:
     points: list = field(default_factory=list)
     directions: list = field(default_factory=list)
     inner_products: list = field(default_factory=list)
-    min_envelope_margin: float = np.inf
 
     def __len__(self):
         return len(self.times)
@@ -239,9 +238,8 @@ def _stage(f, C, run, theta, x, first, last, alpha, env):
         g, v = _direction(f, C, cfg, x, alpha, j)
         traj.add(j * run.delta, x, g, v)
         env *= shrink
-        X, slack = cgreedy._step(C, run, s[None], v.v[None], np.array([env]), [theta], j)
-        x = X[0]
-        traj.min_envelope_margin = min(traj.min_envelope_margin, float(slack.min()))
+        x = cgreedy._step(C, run, s[None], v.v[None], np.array([env]),
+                          lambda r: theta, j)[0]
     return x, traj
 
 

@@ -39,6 +39,16 @@ class TestRunConfig:
             k = round(t / run.delta)
             assert abs(t - k * run.delta) <= 1e-12
 
+    @pytest.mark.parametrize("delta, grid", [
+        (0.01, sm.default_theta_grid()),
+        (0.02, sm.default_theta_grid()),
+        (0.05, sm.default_theta_grid()[::5]),
+        (0.25, (0.0, 0.5, 1.0)),
+        (1 / 3, (0.0, 1.0)),
+    ])
+    def test_default_grid_keeps_the_thetas_on_delta_grid(self, delta, grid):
+        assert RunConfig(delta=delta).theta_grid == grid
+
     def test_alpha_range(self):
         with pytest.raises(ConfigError):
             RunConfig(alpha=0.4)
@@ -246,8 +256,6 @@ class TestSolve:
             assert C.contains_point(r.x_theta)
             assert C.contains_point(r.y1)
             assert C.contains_point(r.z)
-            assert r.dampened_margin >= 0.0
-            assert r.standard_margin >= 0.0
         assert report.diagnostics
         assert all(d.passed for d in report.diagnostics)
 
@@ -318,9 +326,7 @@ def _per_theta_composition(f, C, run):
             y1=y1, y1_value=sm.multilinear(f, y1, cfg),
             p=p, z=z, z_value=sm.multilinear(f, z, cfg),
             final_inner=float(residual_gradient(f, x_theta, cfg) @ v_theta.v),
-            dampened_steps=len(dtraj), standard_steps=len(straj),
-            dampened_margin=dtraj.min_envelope_margin,
-            standard_margin=straj.min_envelope_margin))
+            dampened_steps=len(dtraj), standard_steps=len(straj)))
     return out
 
 
@@ -538,15 +544,15 @@ def _stage_two_point(f, C, run, theta, step):
 def _hold_at_cap(run, cap, steps):
     """Drive one batch row through ``steps`` Euler steps with the direction
     (cap, cap/3, 0): coordinate 0 sits on its envelope at every step, the
-    tightest case.  Returns every step's margin."""
+    tightest case.  Returns every step's margin min(s - env)."""
     C = sm.CardinalityPolytope(3, 3)
     S, env = np.ones((1, 3)), np.ones(1)
     V = np.array([[cap, cap / 3.0, 0.0]])
     margins = []
     for j in range(steps):
         env = env * (1.0 - run.delta * cap)
-        _, slack = cgreedy._step(C, run, S, V, env, [0.0], j)
-        margins.append(float(slack.min()))
+        cgreedy._step(C, run, S, V, env, lambda r: 0.0, j)
+        margins.append(float((S - env[:, None]).min()))
     return margins
 
 
@@ -673,23 +679,23 @@ def test_batch_kernels_solve_as_the_reference_kernels(body, monkeypatch):
 # bytes among them) and best_*, so that any output moving by one bit fails
 PINNED_DIGESTS = {
     ("directed-cut", "cardinality"):
-        "0ae5ef43f3006d510a458a30b4fda24e0fd0c21820306d34f5f667165493d8ea",
+        "956eaab0a764adf4609a0d1e7b4f43d60f5a4b6c16bae9eddccb280dfe2545cd",
     ("directed-cut", "partition-matroid"):
-        "4826691dbfe286a456db15c8622a74b6dfcdecefcdafc9a56cfaea5fa6b49cda",
+        "552ccfc7d270ff195dbc384aa33707861dcfc1644afda4b476babea5b5b4871a",
     ("directed-cut", "knapsack"):
-        "b4366cb89f60547dc600296617ac09262e1f3f90525064e539effa962d03c195",
+        "54867a319dbbf3b88356a767d12a5bd31b8985e4999c312a72f574de7836a678",
     ("coverage", "cardinality"):
-        "6f2524e10487014ef4fa343d1ca721e6302b703b788cac01b46c3f2084ffa294",
+        "9539e73dadbdb0796136b4625d34e7bb0ff7ebcd8b6d9125f6241a3056772c4d",
     ("coverage", "partition-matroid"):
-        "a33de7ac730a86395f7960b223f28e38bd83dbdfa9fb5c80ca725fc68909e91b",
+        "7892de08aefa85b7e89045685ea964e4fc2f7dc0b7acc92ea104c3d0f553bf3e",
     ("coverage", "knapsack"):
-        "d7065e248ac6bd41f79caa9111f8d6270cf909dbf8c8800f04a9eff068ecedca",
+        "dec67498b4bb99836b039dbeece5a01a2e93cc0db1ffa33ba29da4ce9866bf29",
     ("explicit-table", "cardinality"):
-        "77e3390a805b7eab940e0650b6194ef9bb9f9409b29f9791febf63c5c373f4fc",
+        "b6a74efe54e26eb80a12ac856c67af3e78101bdc783fdef3a48354642dc324a7",
     ("explicit-table", "partition-matroid"):
-        "50a92815c24672e79a5399c0f267ace7afaf0a0e05c7fb133dc0aa367c3a8d7c",
+        "b6082093309032a663055e36a7d9da2e18acf8c9fae022ca40ffb3a599e5ecf3",
     ("explicit-table", "knapsack"):
-        "4f70c21ba46399ea19389c2db27d06e7ee443646acad6bad9ee67f739b497749",
+        "1971019add597586e4bd3063b4248dff270260eed0a924fa0ba50b1d21f6ca08",
 }
 
 
@@ -704,7 +710,7 @@ def test_solve_outputs_match_their_pinned_digests(kind, body):
 # sha256 over repr(_report_bytes(report)) of every solve of desk corpus 1, in
 # corpus order, at the default run with the brute-force optimum, so that the
 # diagnostics are covered too
-DESK_CORPUS_1_DIGEST = "7656d9605f6094ca724f949eefa69e4b5dcddb46ab1abf7b0d0f8e868080a460"
+DESK_CORPUS_1_DIGEST = "ed795d1673bab8b0a1ec8bae04e80809052436eb679acb97dc2838db129296dd"
 
 
 def test_desk_corpus_solves_match_their_pinned_digest():

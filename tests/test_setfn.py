@@ -425,6 +425,19 @@ class TestExplicitTableValidation:
         with pytest.raises(ValueError, match="not submodular"):
             sm.ExplicitTable(2, [0.0, 0.0, 0.0, 1.0])
 
+    def test_supermodular_table_rejected_at_any_scale(self):
+        # f(S) = |S|^2 / 1e10: every pairwise gap is -2e-10
+        sizes = np.array([bin(m).count("1") for m in range(8)], dtype=float)
+        with pytest.raises(ValueError, match="not submodular"):
+            sm.ExplicitTable(3, sizes**2 * 1e-10)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e6])
+    def test_generated_table_accepted_at_any_scale(self, scale):
+        # the check allows rounding relative to max |f|
+        for n in (6, 8):
+            inst = sm.gen("explicit-table", n, "cardinality", 1)
+            sm.ExplicitTable(n, np.array(inst.function["values"]) * scale)
+
     def test_wrong_size_rejected(self):
         with pytest.raises(ValueError):
             sm.ExplicitTable(3, [0.0] * 7)
