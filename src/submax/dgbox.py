@@ -84,8 +84,8 @@ class BoxRun:
 def double_greedy_box_run(inst: BoxInstance) -> BoxRun:
     f, cfg = inst.f, inst.cfg
     n = f.n
-    lo = inst.u.v.copy()
-    hi = inst.v.v.copy()
+    box = np.stack([inst.u.v, inst.v.v])  # the corners, moved in place
+    lo, hi = box
     a = np.zeros(n)
     b = np.zeros(n)
     closed = cfg.mode == "closed"
@@ -94,11 +94,11 @@ def double_greedy_box_run(inst: BoxInstance) -> BoxRun:
         if width == 0.0:
             pass  # a one-point coordinate is not scored: a_i = b_i = 0
         elif closed:
-            d_lo, d_hi = f.closed_form_partial(i, np.stack([lo, hi]))
+            d_lo, d_hi = f.closed_form_partial(i, box)
             a[i] = width * d_lo
             b[i] = -width * d_hi
         else:
-            X = np.vstack([lo, lo, hi, hi])
+            X = box[[0, 0, 1, 1]]
             X[0, i] = 1.0
             X[1, i] = 0.0
             X[2, i] = 0.0

@@ -29,8 +29,12 @@ gives it, and ``closed_form_partial(i, X)`` gives the single partial dF/dx_i
 at every row of X in O(n) for a cut and O(n |covers_i|) for coverage, which
 is what the double greedy needs at each coordinate.  For a cut with weight
 matrix W these are F(x) = x^T W (1 - x), grad F(x) = W (1 - x) - W^T x and
-dF/dx_i = (1 - x) . W[i, :] - x . W[:, i].  The identity stays the reference
-both are tested against (``one_coordinate_gradient``).
+dF/dx_i = (1 - x) . W[i, :] - x . W[:, i].  A coverage gradient is two
+stacked vector-matrix products per row against the (n, m) incidence matrix,
+in the log domain, with the factors at x_k = 1 counted apart so that
+nothing is divided by zero there; its extension and partial take survival
+products down the owner table.  The identity stays the reference both
+families are tested against (``one_coordinate_gradient``).
 
 Batches of integer masks (each family's ``value_batch``, each body's
 ``contains_mask_batch``, and so brute force and ``full_table``) are
@@ -452,13 +456,17 @@ class Coverage(SetFunction):
     """Weighted coverage: element i covers a fixed item set, and
     f(S) = total weight of items covered by S.  Monotone submodular.
 
-    The closed forms read the owner table: column j lists item j's covering
-    elements in ascending order, padded with n, which points at a constant
-    factor 1.0.  A survival product prod_{i covers j} (1 - x_i) is taken
-    down column j, one owner slot at a time over every row of the batch.
-    Multiplying by 1.0 is exact, so each product rounds as the same product
-    taken down the (n, m) incidence matrix does.  ``value_batch`` reads the
-    incidence matrix, so it stays an independent check."""
+    The extension and the partial read the owner table: column j lists item
+    j's covering elements in ascending order, padded with n, which points at
+    a constant factor 1.0.  A survival product prod_{i covers j} (1 - x_i)
+    is taken down column j, one owner slot at a time over every row of the
+    batch.  Multiplying by 1.0 is exact, so each product rounds as the same
+    product taken down the (n, m) incidence matrix does.  The gradient reads
+    the incidence matrix as floats, ``A``: per row, one product sums each
+    item's log factors and counts its factors at 0, and one sums each
+    element's items (see ``closed_form_grad``), so a row holds O(n + m)
+    floats.  ``value_batch`` reads the boolean incidence matrix, so it stays
+    an independent check."""
 
     kind = "coverage"
     has_closed_form = True
@@ -497,14 +505,10 @@ class Coverage(SetFunction):
         return table
 
     @cached_property
-    def _grad_gather(self) -> np.ndarray:
-        # for each (element, item) place of the (n, m) layout, its slot in
-        # the flat (d, m) leave-one-out table, or the slot past the table's
-        # end (a 0.0) where the element does not cover the item
-        d, m = self.owners.shape
-        slots = np.full((self.n + 1, m), d * m)
-        slots[self.owners, np.arange(m)] = np.arange(d * m).reshape(d, m)
-        return slots[:-1]
+    def A(self) -> np.ndarray:
+        # built on first gradient call, as the owner table is: the (n, m)
+        # incidence matrix as floats, for the gradient's matrix products
+        return self.incidence.astype(float)
 
     def _misses(self, X: np.ndarray) -> np.ndarray:
         # element-major: row i holds the factors 1 - x_i of every batch row,
@@ -536,38 +540,39 @@ class Coverage(SetFunction):
         return out
 
     def closed_form_grad(self, x: np.ndarray) -> np.ndarray:
-        # dF/dx_i = sum_{j covered by i} w_j prod_{k covers j, k != i} (1 - x_k).
-        # The leave-one-out products come from exclusive prefix and suffix
-        # products down each owner column, not from dividing the full
-        # product, so they stay exact when some x_k = 1: one multiply per
-        # slot over an (m, R) slab of the batch.  They are gathered into the
-        # C-contiguous (R, n, m) layout, zero where i does not cover j, and
-        # one stacked vector product per row sums each row as the one point
-        # does.
+        # dF/dx_i = sum_{j covered by i} w_j prod_{k covers j, k != i} (1 - x_k),
+        # from two stacked matrix products per row against A, so each row
+        # rounds as the one point does.  The first sums log(1 - x_k) and
+        # counts the zero factors (x_k = 1) of each item; the second sums
+        # over each element's items P_j = w_j prod of item j's nonzero
+        # factors.  An item with no zero factor feeds its owners, each
+        # dividing out its own factor; an item with exactly one feeds only
+        # the owner at x_k = 1, with nothing to divide out; one with more
+        # feeds nothing.  The second product is A (n, m) times an (m, 2)
+        # block per row, so both read A in its C order.
         X = np.atleast_2d(x)
-        d, m = self.owners.shape
-        miss = np.take(self._misses(X), self.owners, axis=0)
-        loo = np.empty((d * m + 1, X.shape[0]))
-        loo[-1] = 0.0
-        prefix = loo[:-1].reshape(d, m, X.shape[0])
-        if d:
-            prefix[0] = 1.0
-            for t in range(1, d):
-                np.multiply(prefix[t - 1], miss[t - 1], out=prefix[t])
-            suffix = miss[d - 1].copy()
-            for t in range(d - 2, -1, -1):
-                prefix[t] *= suffix
-                suffix *= miss[t]
-        G = np.take(loo.T.copy(), self._grad_gather, axis=1) @ self.item_weights
+        miss = 1.0 - X
+        live = miss > 0.0
+        T = np.zeros((X.shape[0], 2, self.n))
+        np.log(miss, out=T[:, 0], where=live)
+        T[:, 1] = ~live
+        S = T @ self.A
+        P = np.exp(S[:, 0])
+        P *= self.item_weights
+        Q = np.empty((X.shape[0], S.shape[2], 2))
+        np.multiply(P, S[:, 1] == 0.0, out=Q[:, :, 0])
+        np.multiply(P, S[:, 1] == 1.0, out=Q[:, :, 1])
+        H = self.A @ Q
+        G = np.divide(H[:, :, 0], miss, out=H[:, :, 1].copy(), where=live)
         return G.reshape(np.shape(x))
 
     def closed_form_partial(self, i, X):
         # the same sum over i's items only, each survival product taken down
         # the item's owner column with x_i's factor set to 1 (no division)
         items = np.flatnonzero(self.incidence[i])
-        owners = self.owners[:, items]
-        owners[owners == i] = self.n
-        surv = np.prod(np.take(self._misses(X), owners, axis=0), axis=0)
+        miss = self._misses(X)
+        miss[i] = 1.0
+        surv = np.prod(np.take(miss, self.owners[:, items], axis=0), axis=0)
         return np.ascontiguousarray(surv.T) @ self.item_weights[items]
 
 

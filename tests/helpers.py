@@ -118,9 +118,10 @@ def reference_greedy_fill(C, W, alpha):
 
 
 def reference_coverage_grad(f, x):
-    """The coverage gradient as dense (rows, n, m) blocks down the incidence
-    matrix, in chunks of rows: the path ``Coverage.closed_form_grad`` must
-    match byte for byte."""
+    """The coverage gradient as dense (rows, n, m) blocks of leave-one-out
+    products down the incidence matrix, in chunks of rows: the values
+    ``Coverage.closed_form_grad`` must match to a stated relative tolerance,
+    with the same zeros."""
     X = np.atleast_2d(x)
     G = np.empty(X.shape)
     rows = max(1, (1 << 14) // max(1, f.incidence.size))

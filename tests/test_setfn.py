@@ -250,9 +250,9 @@ class TestBatchGradient:
 
 
 class TestCoverageOwnerTable:
-    """The coverage kernels read the (d, m) owner table and equal the dense
-    kernels over the (n, m) incidence matrix (tests/helpers.py) byte for
-    byte."""
+    """The coverage extension and partial kernels read the (d, m) owner
+    table and equal the dense kernels over the (n, m) incidence matrix
+    (tests/helpers.py) byte for byte."""
 
     def test_table_lists_each_items_owners_in_order(self):
         f = sm.Coverage(3, [[0, 2], [], [0, 1, 2]], [1.0, 2.0, 3.0, 4.0])
@@ -280,13 +280,22 @@ def test_coverage_gradient_bound_must_be_finite(weight, ok):
                 sm.Coverage(2, [[0, 1], [0]], [weight, 1.0])
 
 
+# per-element relative tolerance of the log-domain coverage gradient against
+# the leave-one-out products of the dense reference: exp of a sum of d logs
+# rounds to within about 6e-15 d, d the item degree, at coordinates 1 - 2^-k
+COVERAGE_GRAD_RTOL = 1e-12
+
+
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 14),
        m=st.sampled_from([0, 1, 5, 17, 40]), R=st.sampled_from([1, 2, 7, 52]),
        density=st.sampled_from([0.0, 0.15, 0.5, 1.0]))
 @settings(max_examples=150, deadline=None)
 def test_coverage_kernels_match_the_dense_references(seed, n, m, R, density):
     # items nobody covers, an item every element covers, and points with
-    # exact 0.0 and 1.0 entries
+    # exact 0.0 and 1.0 entries and entries 1 - 2^-k next to 1.0: the
+    # gradient within a relative tolerance with the same zeros, each batch
+    # row as its one-point call gives it, the batch and the partials byte
+    # for byte
     rng = np.random.default_rng(seed)
     inc = rng.random((n, m)) < density
     if m:
@@ -297,12 +306,34 @@ def test_coverage_kernels_match_the_dense_references(seed, n, m, R, density):
     X = rng.random((R, n))
     X[rng.random(X.shape) < 0.2] = 0.0
     X[rng.random(X.shape) < 0.2] = 1.0
-    for x in (X, X[0]):
-        assert f.closed_form_grad(x).tobytes() == reference_coverage_grad(f, x).tobytes()
+    near = rng.random(X.shape) < 0.1
+    X[near] = 1.0 - 2.0 ** -rng.integers(1, 54, size=near.sum())
+    G, ref = f.closed_form_grad(X), reference_coverage_grad(f, X)
+    assert np.array_equal(G == 0.0, ref == 0.0)
+    assert np.all(np.abs(G - ref) <= COVERAGE_GRAD_RTOL * ref)
+    for x, g in zip(X, G):
+        assert g.tobytes() == f.closed_form_grad(x).tobytes()
     assert f.closed_form_batch(X).tobytes() == reference_coverage_batch(f, X).tobytes()
     for i in range(n):
         assert (f.closed_form_partial(i, X).tobytes()
                 == reference_coverage_partial(f, i, X).tobytes())
+
+
+def test_coverage_gradient_memory_does_not_grow_with_the_degrees():
+    # 52 rows of a generated n = 400 coverage (800 items of about 120 owners
+    # each), with the incidence matrix A built as at every call after the
+    # first: (rows, 2, items) products, not a (rows, n, items) gather, which
+    # peaked at 274 MB
+    f, _ = sm.gen("coverage", 400, "cardinality", 0).build()
+    X = np.random.default_rng(0).random((52, 400))
+    f.A
+    tracemalloc.start()
+    try:
+        f.closed_form_grad(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 class TestPointShape:

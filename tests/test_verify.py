@@ -8,6 +8,7 @@ import pytest
 
 import submax as sm
 from submax import ConfigError, EstimatorConfig, EstimatorError, Point
+from submax.cli import main
 
 from helpers import random_table_function
 
@@ -284,13 +285,16 @@ class TestPropertySuite:
         names = [r.name for r in sm.verify.solver_checks(f, C, run)]
         assert "fallback double greedy floor on every distinct box" not in names
 
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
     def test_closed_form_gradient_check_runs_and_catches_a_wrong_gradient(
-            self, monkeypatch):
+            self, monkeypatch, scale):
+        # the tolerance scales with f, so a gradient off by a relative 1e-9
+        # fails at every weight scale, small weights too
         name = "closed-form gradient matches one-coordinate identity"
         rng = np.random.default_rng(3)
         table = random_table_function(rng, 5)
         assert name not in [r.name for r in sm.verify.calculus_checks(table, rng, 5)]
-        f = sm.gen("coverage", 30, "cardinality", 4).build_function()
+        f = _scaled(sm.gen("coverage", 30, "cardinality", 4), scale).build_function()
         check = {r.name: r for r in sm.verify.calculus_checks(f, rng, 5)}[name]
         assert check.passed
         good = sm.Coverage.closed_form_grad
@@ -298,6 +302,11 @@ class TestPropertySuite:
                             lambda self, x: good(self, x) * (1.0 + 1e-9))
         check = {r.name: r for r in sm.verify.calculus_checks(f, rng, 5)}[name]
         assert not check.passed
+
+    @pytest.mark.parametrize("corpus", [["--corpus", "mini"],
+                                        ["--corpus", "desk", "--seed", "1"]])
+    def test_corpus_passes_every_check(self, corpus):
+        assert main(["verify", *corpus]) == 0
 
     def test_vertex_check_reaches_every_element_past_bit_62(self):
         # at n=100 the check runs on the closed form; one that is wrong only
