@@ -8,7 +8,9 @@ complement s = 1 - x as s <- s o (1 - delta*v).  Stage two continues
 from x(theta) with the uncapped oracle until time 1, giving the greedy
 candidate y(1).  The fallback recomputes the oracle direction at x(theta)
 *without* the cap, giving p, and runs double greedy over the box [0, p] to
-extract z.  The best candidate over all theta and both branches wins.
+extract z.  The best candidate over all theta and both branches wins; one
+that beats another by no more than ``TIE_RTOL`` of its value ties with it,
+and the first in grid order, greedy before double greedy, keeps the place.
 Thetas that switch into the same box share its z: a solve runs double
 greedy, and evaluates F(z), once per distinct p.
 
@@ -62,6 +64,10 @@ from .setfn import (ALPHA_MIN, EstimatorConfig, Point, SetFunction, _real, _unit
                     default_config, multilinear, one_coordinate_gradient)
 
 THETA_TOL = 1e-12
+# a candidate replaces the best so far only when it is larger by more than
+# this share of it: candidates equal up to rounding tie, at any scale of f,
+# and the tie goes to the smallest theta, then to the greedy branch
+TIE_RTOL = 1e-12
 STEP_LIMIT = 10_000  # Euler steps per run, so delta >= 1e-4
 
 
@@ -345,9 +351,9 @@ def solve(f: SetFunction, C: Polytope, run: RunConfig | None = None,
     best_theta: float | None = None
     best_branch = "origin"
     for r in per_theta:
-        if r.y1_value > best_value:
+        if r.y1_value - best_value > TIE_RTOL * abs(best_value):
             best, best_value, best_theta, best_branch = r.y1, r.y1_value, r.theta, "greedy"
-        if r.z_value > best_value:
+        if r.z_value - best_value > TIE_RTOL * abs(best_value):
             best, best_value, best_theta, best_branch = r.z, r.z_value, r.theta, "double-greedy"
     report = SolveReport(best, best_value, best_theta, best_branch, per_theta)
     if opt_value is not None:

@@ -18,35 +18,36 @@ Three evaluation modes are supported:
 one-row case.  ``multilinear_batch``, ``one_coordinate_gradient`` and the
 families' ``closed_form_*`` kernels take an (R, n) batch, as the solver's
 Euler loop and the double greedy run them; ``multilinear`` and ``gradient``
-take one point (``_point``).  In exact and mc modes,
-and for explicit tables, partial derivatives go through the one-coordinate
-identity, 2n rows of one batch: dF/dx_i = F(x with x_i=1) - F(x with x_i=0).
-Because F is multilinear this is exact; no finite-difference fuzz is ever
-involved.  In closed mode each structural family differentiates its
+take one point (``_point``).  In exact and mc modes, and for explicit
+tables, partial derivatives go through the one-coordinate identity, 2n rows
+of one batch: dF/dx_i = F(x with x_i=1) - F(x with x_i=0), exact because F
+is multilinear.  In closed mode each structural family differentiates its
 polynomial analytically: ``closed_form_grad`` gives the whole gradient at
-one point or at every row of an (R, n) batch, each row as the one point
-gives it, and ``closed_form_partial(i, X)`` gives the single partial dF/dx_i
-at every row of X in O(n) for a cut and O(n |covers_i|) for coverage, which
-is what the double greedy needs at each coordinate.  For a cut with weight
-matrix W these are F(x) = x^T W (1 - x), grad F(x) = W (1 - x) - W^T x and
-dF/dx_i = (1 - x) . W[i, :] - x . W[:, i].  A coverage gradient is two
-stacked vector-matrix products per row against the (n, m) incidence matrix,
-in the log domain, with the factors at x_k = 1 counted apart so that
-nothing is divided by zero there; its extension and partial take survival
-products down the owner table.  The identity stays the reference both
-families are tested against (``one_coordinate_gradient``).
+one point or at every row of a batch, and ``closed_form_partial(i, X)`` the
+single partial dF/dx_i at every row of X, which is what the double greedy
+needs at each coordinate.  For a cut with weight matrix W these are
+F(x) = x^T W (1 - x), grad F(x) = W (1 - x) - W^T x and
+dF/dx_i = (1 - x) . W[i, :] - x . W[:, i].  Coverage holds one item-major
+incidence, with ``A`` its float transpose, and reads all three kernels
+through one log-sum product (``_log_sums``), with the factors at x_k = 1
+counted apart so that nothing is divided by zero.  Every coverage kernel
+answers each row as its one-row call does.  The identity stays the
+reference both families are tested against (``one_coordinate_gradient``).
 
-Batches of integer masks (each family's ``value_batch``, each body's
-``contains_mask_batch``, and so brute force and ``full_table``) are
-evaluated in blocks of ``MASK_BLOCK`` masks (``_mask_blocks``), so a call
-holds one block's (masks x arcs) rows at a time: at n = 16 every such call
-peaks under 2 MB (tracemalloc), where one product over the whole batch took
-up to 222 MB.  The blocks keep the bytes of that one product.  A
-matrix-vector product rounds a row by its place in the call, so the block
-size is fixed, and a lone last mask joins the block before it (numpy
-multiplies a one-row matrix as a dot product).  A cut's gathered columns are
-copied into a C-ordered float matrix: the gather is F-ordered, and BLAS
-multiplies that with another kernel.
+f on sets goes through each family's ``_vertex_values`` on 0/1 membership
+rows, at any n: a cut's closed form, coverage's covered items (one product
+of the rows with ``A``), and a table's lookup by bitmask.  Batches of rows
+or integer masks (``_vertex_values``, each family's ``value_batch``, each
+body's ``contains_mask_batch``, and so brute force and ``full_table``) are
+evaluated in blocks of ``MASK_BLOCK`` rows (``_blocks``), so a call holds
+one block's rows at a time: at n = 16 every mask call peaks under 2 MB
+(tracemalloc), where one product over the whole batch took up to 222 MB.
+The blocks keep the bytes of that one product.  A matrix-vector product
+rounds a row by its place in the call, so the block size is fixed, and a
+lone last row joins the block before it (numpy multiplies a one-row matrix
+as a dot product).  A cut's gathered columns are copied into a C-ordered
+float matrix: the gather is F-ordered, and BLAS multiplies that with
+another kernel.
 """
 
 from __future__ import annotations
@@ -256,10 +257,14 @@ class SetFunction:
 
     def value(self, S: SubsetLike) -> float:
         """f(S) for a subset or bitmask, at any n (no int64 bitmask)."""
-        return float(_vertex_values(self, Point.indicator(self.n, S).v[None, :] > 0)[0])
+        return float(self._vertex_values(Point.indicator(self.n, S).v[None, :] > 0)[0])
 
     def value_batch(self, masks: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def _vertex_values(self, R: np.ndarray) -> np.ndarray:
+        """f of each row of the boolean (r, n) matrix R, by bitmask (n < 63)."""
+        return self.value_batch(R @ (np.int64(1) << np.arange(self.n, dtype=np.int64)))
 
     def closed_form_batch(self, X: np.ndarray) -> np.ndarray:
         raise EstimatorError(f"{self.kind} has no closed-form extension")
@@ -293,15 +298,17 @@ def _mask_bits(masks: np.ndarray, n: int) -> np.ndarray:
     return (masks[:, None] >> np.arange(n)[None, :]) & 1 != 0
 
 
+def _blocks(m: int):
+    """(start, stop) of each block of MASK_BLOCK rows of an m-row batch; a
+    lone last row joins the block before it."""
+    for lo in range(0, m - 1 or m, MASK_BLOCK):
+        yield lo, lo + MASK_BLOCK if lo + MASK_BLOCK < m - 1 else m
+
+
 def _mask_blocks(masks: np.ndarray, n: int):
     """Each block of MASK_BLOCK masks as (start, its (m, n) boolean
-    membership), so that no evaluator holds more than one block's rows.  A
-    lone last mask joins the block before it: numpy multiplies a one-row
-    matrix as a dot product, which adds in another order than the row of a
-    matrix-vector product."""
-    m = len(masks)
-    for lo in range(0, m - 1 or m, MASK_BLOCK):
-        hi = lo + MASK_BLOCK if lo + MASK_BLOCK < m - 1 else m
+    membership)."""
+    for lo, hi in _blocks(len(masks)):
         yield lo, _mask_bits(masks[lo:hi], n)
 
 
@@ -439,6 +446,9 @@ class DirectedCut(SetFunction):
             out[lo:lo + len(bits)] = cut.astype(float, order="C") @ self.w
         return out
 
+    def _vertex_values(self, R: np.ndarray) -> np.ndarray:
+        return self.closed_form_batch(R.astype(float))
+
     def closed_form_batch(self, X: np.ndarray) -> np.ndarray:
         return np.einsum("ri,ri->r", X @ self.W, 1.0 - X)
 
@@ -456,17 +466,14 @@ class Coverage(SetFunction):
     """Weighted coverage: element i covers a fixed item set, and
     f(S) = total weight of items covered by S.  Monotone submodular.
 
-    The extension and the partial read the owner table: column j lists item
-    j's covering elements in ascending order, padded with n, which points at
-    a constant factor 1.0.  A survival product prod_{i covers j} (1 - x_i)
-    is taken down column j, one owner slot at a time over every row of the
-    batch.  Multiplying by 1.0 is exact, so each product rounds as the same
-    product taken down the (n, m) incidence matrix does.  The gradient reads
-    the incidence matrix as floats, ``A``: per row, one product sums each
-    item's log factors and counts its factors at 0, and one sums each
-    element's items (see ``closed_form_grad``), so a row holds O(n + m)
-    floats.  ``value_batch`` reads the boolean incidence matrix, so it stays
-    an independent check."""
+    The incidence is held once, item-major: ``incidence`` is an (m, n)
+    boolean array whose row j marks the elements that cover item j, and
+    ``A`` is its float transpose, (n, m) in C order.  The three closed-form
+    kernels read one log-sum product (``_log_sums``): per row, item j's sum
+    S_j of log(1 - x_k) and its count of factors at x_k = 1.  f on sets
+    (``value_batch``, ``_vertex_values``) sums the weights of the items a
+    set covers, one block of rows times ``A`` at a time, with no log sum,
+    so it stays an independent check on the closed forms."""
 
     kind = "coverage"
     has_closed_form = True
@@ -479,101 +486,91 @@ class Coverage(SetFunction):
             raise ValueError("item weights must be nonnegative")
         if len(covers) != self.n:
             raise ValueError(f"need one cover list per element, got {len(covers)}")
-        owners = np.repeat(np.arange(self.n), list(map(len, covers)))
+        elements = np.repeat(np.arange(self.n), list(map(len, covers)))
         items = _indices(list(chain.from_iterable(covers)), m, "covered item")
-        self.incidence = np.zeros((self.n, m), dtype=bool)
-        self.incidence[owners, items] = True
+        self.incidence = np.zeros((m, self.n), dtype=bool)
+        self.incidence[items, elements] = True
         # every partial sums the weights of the element's items, so a
         # gradient's l1 norm, and <g, v> for any v in [0, 1]^n, is at most
         # sum_j w_j * deg_j; it must be finite as the weights' sum must be
         with np.errstate(over="ignore"):  # an overflowing bound is the error below
-            bound = self.incidence.sum(axis=0) @ self.item_weights
+            bound = self.incidence.sum(axis=1) @ self.item_weights
         if not np.isfinite(bound):
             raise ValueError("item weights times their covering degrees must have "
                              "a finite sum, which bounds the gradient")
 
     @cached_property
-    def owners(self) -> np.ndarray:
-        # built on first closed-form use, as a cut's W is: the (d, m) owner
-        # table, d the largest item degree; row t of column j is item j's
-        # t-th covering element, or n past its last
-        items, elements = np.nonzero(self.incidence.T)
-        m = self.incidence.shape[1]
-        degree = np.bincount(items, minlength=m)
-        table = np.full((degree.max(initial=0), m), self.n)
-        table[np.arange(items.size) - (np.cumsum(degree) - degree)[items], items] = elements
-        return table
-
-    @cached_property
     def A(self) -> np.ndarray:
-        # built on first gradient call, as the owner table is: the (n, m)
-        # incidence matrix as floats, for the gradient's matrix products
-        return self.incidence.astype(float)
-
-    def _misses(self, X: np.ndarray) -> np.ndarray:
-        # element-major: row i holds the factors 1 - x_i of every batch row,
-        # and row n the constant 1.0, so each owner slot gathers whole rows
-        miss = np.empty((self.n + 1, X.shape[0]))
-        np.subtract(1.0, X.T, out=miss[:-1])
-        miss[-1] = 1.0
-        return miss
+        # built on first use, as a cut's W is: the (n, m) incidence as floats
+        # in C order, which BLAS multiplies with one kernel
+        return self.incidence.T.astype(float, order="C")
 
     def value_batch(self, masks: np.ndarray) -> np.ndarray:
         _check_masks(masks, self.n)
         out = np.empty(len(masks))
         for lo, bits in _mask_blocks(masks, self.n):
-            covered = bits.astype(float) @ self.incidence > 0
-            out[lo:lo + len(bits)] = covered @ self.item_weights
+            out[lo:lo + len(bits)] = self._vertex_values(bits)
+        return out
+
+    def _vertex_values(self, R: np.ndarray) -> np.ndarray:
+        out = np.empty(len(R))
+        for lo, hi in _blocks(len(R)):
+            out[lo:hi] = (R[lo:hi].astype(float) @ self.A > 0) @ self.item_weights
         return out
 
     def closed_form_batch(self, X: np.ndarray) -> np.ndarray:
-        # F(x) = sum_j w_j * (1 - prod_{i covers j} (1 - x_i)).  A row's
-        # value depends on its place in the block of the final matrix-vector
-        # product, so the rows go in blocks of 2^21 / (n m), which also
-        # bounds each block's (d, m, rows) factors.
-        miss = self._misses(X)
-        out = np.empty(X.shape[0])
-        rows = max(1, (1 << 21) // max(1, self.incidence.size))
-        for lo in range(0, X.shape[0], rows):
-            surv = np.prod(np.take(miss[:, lo:lo + rows], self.owners, axis=0), axis=0)
-            out[lo:lo + rows] = np.subtract(1.0, surv.T, order="C") @ self.item_weights
-        return out
+        # F(x) = sum_j w_j u_j with u_j = 1 - prod_{k covers j} (1 - x_k),
+        # which is -expm1(S_j), or 1 where item j has a factor at 0
+        S = _log_sums(1.0 - X, self.A)
+        U = -np.expm1(S[:, :1])
+        U[S[:, 1:] > 0.0] = 1.0
+        return (U @ self.item_weights)[:, 0]
 
     def closed_form_grad(self, x: np.ndarray) -> np.ndarray:
         # dF/dx_i = sum_{j covered by i} w_j prod_{k covers j, k != i} (1 - x_k),
-        # from two stacked matrix products per row against A, so each row
-        # rounds as the one point does.  The first sums log(1 - x_k) and
-        # counts the zero factors (x_k = 1) of each item; the second sums
-        # over each element's items P_j = w_j prod of item j's nonzero
-        # factors.  An item with no zero factor feeds its owners, each
-        # dividing out its own factor; an item with exactly one feeds only
-        # the owner at x_k = 1, with nothing to divide out; one with more
-        # feeds nothing.  The second product is A (n, m) times an (m, 2)
-        # block per row, so both read A in its C order.
+        # from two stacked matrix products per row against A.  The first is
+        # the log sums; the second sums over each element's items
+        # P_j = w_j prod of item j's nonzero factors.  An item with no zero
+        # factor feeds its owners, each dividing out its own factor; an item
+        # with exactly one feeds only the owner at x_k = 1, with nothing to
+        # divide out; one with more feeds nothing.  The second product is
+        # A (n, m) times an (m, 2) block per row, so both read A in its C
+        # order.
         X = np.atleast_2d(x)
         miss = 1.0 - X
-        live = miss > 0.0
-        T = np.zeros((X.shape[0], 2, self.n))
-        np.log(miss, out=T[:, 0], where=live)
-        T[:, 1] = ~live
-        S = T @ self.A
+        S = _log_sums(miss, self.A)
         P = np.exp(S[:, 0])
         P *= self.item_weights
         Q = np.empty((X.shape[0], S.shape[2], 2))
         np.multiply(P, S[:, 1] == 0.0, out=Q[:, :, 0])
         np.multiply(P, S[:, 1] == 1.0, out=Q[:, :, 1])
         H = self.A @ Q
-        G = np.divide(H[:, :, 0], miss, out=H[:, :, 1].copy(), where=live)
+        G = np.divide(H[:, :, 0], miss, out=H[:, :, 1].copy(), where=miss > 0.0)
         return G.reshape(np.shape(x))
 
     def closed_form_partial(self, i, X):
-        # the same sum over i's items only, each survival product taken down
-        # the item's owner column with x_i's factor set to 1 (no division)
-        items = np.flatnonzero(self.incidence[i])
-        miss = self._misses(X)
-        miss[i] = 1.0
-        surv = np.prod(np.take(miss, self.owners[:, items], axis=0), axis=0)
-        return np.ascontiguousarray(surv.T) @ self.item_weights[items]
+        # the same sum over i's items only, with x_i set to 0 so that its
+        # factor drops out of the log sums, against the float rows of i's
+        # items: sum_j w_j exp(S_j) over the items with no factor at 0
+        items = np.flatnonzero(self.incidence[:, i])
+        miss = 1.0 - X
+        miss[:, i] = 1.0
+        S = _log_sums(miss, self.incidence[items].astype(float).T)
+        P = np.exp(S[:, :1])
+        P[S[:, 1:] > 0.0] = 0.0
+        return (P @ self.item_weights[items])[:, 0]
+
+
+def _log_sums(miss: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """For each row of miss = 1 - X, the sums of log(1 - x_k) and the counts
+    of x_k = 1 against each column of the (n, c) 0/1 matrix cols, as an
+    (R, 2, c) stack: one stacked (2, n) @ (n, c) product per row, so each
+    row rounds as its one-row call does."""
+    live = miss > 0.0
+    T = np.zeros((miss.shape[0], 2, miss.shape[1]))
+    np.log(miss, out=T[:, 0], where=live)
+    T[:, 1] = ~live
+    return T @ cols
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +612,7 @@ def multilinear_batch(f: SetFunction, X: np.ndarray, cfg: EstimatorConfig) -> np
         return f.closed_form_batch(X)
     if cfg.mode == "mc":
         U = _uniforms(f.n, cfg)
-        return np.array([_vertex_values(f, U < x).mean() for x in X])
+        return np.array([f._vertex_values(U < x).mean() for x in X])
     # exact: contract the table one element (bit) at a time, lowest bit
     # first.  The first step is a matmul: as a broadcast over the few rows of
     # a gradient it runs 1.5x slower at n = 12.  Per chunk, the first product
@@ -643,13 +640,6 @@ def _uniforms(n: int, cfg: EstimatorConfig) -> np.ndarray:
         raise EstimatorError(f"mc draw of {cfg.sample_count} x {n} uniforms "
                              f"exceeds {MC_DRAW_LIMIT}")
     return cfg.rng().random((cfg.sample_count, n))
-
-
-def _vertex_values(f: SetFunction, R: np.ndarray) -> np.ndarray:
-    if f.has_closed_form:
-        return f.closed_form_batch(R.astype(float))
-    masks = R @ (np.int64(1) << np.arange(f.n, dtype=np.int64))
-    return f.value_batch(masks)
 
 
 def multilinear(f: SetFunction, x, cfg: EstimatorConfig | None = None) -> float:
@@ -688,4 +678,4 @@ def gradient(f: SetFunction, x, cfg: EstimatorConfig | None = None) -> np.ndarra
 
 def max_singleton(f: SetFunction) -> float:
     """max_i f({i}); the scale constant in the smoothness bounds."""
-    return float(_vertex_values(f, np.eye(f.n, dtype=bool)).max())
+    return float(f._vertex_values(np.eye(f.n, dtype=bool)).max())

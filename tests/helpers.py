@@ -124,24 +124,26 @@ def reference_coverage_grad(f, x):
     with the same zeros."""
     X = np.atleast_2d(x)
     G = np.empty(X.shape)
-    rows = max(1, (1 << 14) // max(1, f.incidence.size))
+    inc = f.incidence.T
+    rows = max(1, (1 << 14) // max(1, inc.size))
     for lo in range(0, len(X), rows):
-        miss = np.where(f.incidence, 1.0 - X[lo:lo + rows, :, None], 1.0)
+        miss = np.where(inc, 1.0 - X[lo:lo + rows, :, None], 1.0)
         loo = np.empty_like(miss)
         loo[:, 0] = 1.0
         np.cumprod(miss[:, :-1], axis=1, out=loo[:, 1:])
         loo[:, :-1] *= np.cumprod(miss[:, :0:-1], axis=1)[:, ::-1]
-        loo *= f.incidence
+        loo *= inc
         G[lo:lo + rows] = loo @ f.item_weights
     return G.reshape(np.shape(x))
 
 
 def reference_coverage_partial(f, i, X):
     """dF/dx_i of coverage down the dense incidence columns of i's items."""
-    items = np.flatnonzero(f.incidence[i])
+    inc = f.incidence.T
+    items = np.flatnonzero(inc[i])
     miss = 1.0 - X
     miss[:, i] = 1.0
-    surv = np.prod(np.where(f.incidence[:, items], miss[:, :, None], 1.0), axis=1)
+    surv = np.prod(np.where(inc[:, items], miss[:, :, None], 1.0), axis=1)
     return surv @ f.item_weights[items]
 
 
@@ -149,10 +151,11 @@ def reference_coverage_batch(f, X):
     """The coverage extension at every row of X, each survival product taken
     down the dense incidence matrix, in chunks of rows."""
     out = np.empty(X.shape[0], dtype=float)
-    rows = max(1, (1 << 21) // max(1, f.incidence.size))
+    inc = f.incidence.T
+    rows = max(1, (1 << 21) // max(1, inc.size))
     for lo in range(0, X.shape[0], rows):
         miss = 1.0 - X[lo:lo + rows]
-        surv = np.prod(np.where(f.incidence[None, :, :], miss[:, :, None], 1.0), axis=1)
+        surv = np.prod(np.where(inc[None, :, :], miss[:, :, None], 1.0), axis=1)
         out[lo:lo + rows] = (1.0 - surv) @ f.item_weights
     return out
 
@@ -172,7 +175,7 @@ def reference_cut_values(f, masks):
 def reference_coverage_values(f, masks):
     """The coverage value of every mask as one product over the whole batch:
     the bytes ``Coverage.value_batch`` must keep."""
-    covered = _reference_bits(masks, f.n).astype(float) @ f.incidence > 0
+    covered = _reference_bits(masks, f.n).astype(float) @ f.incidence.T > 0
     return covered @ f.item_weights
 
 

@@ -216,7 +216,7 @@ def test_criterion_8_monte_carlo_estimator():
         x = rng.random(n)
         cfg = EstimatorConfig(mode="mc", sample_count=100_000,
                               rng_seed=int(rng.integers(2**32)))
-        samples = sm.setfn._vertex_values(f, sm.setfn._uniforms(f.n, cfg) < x)
+        samples = f._vertex_values(sm.setfn._uniforms(f.n, cfg) < x)
         exact = sm.multilinear(f, x)
         stderr = samples.std(ddof=1) / np.sqrt(samples.size)
         if abs(samples.mean() - exact) > 4.0 * stderr:

@@ -654,22 +654,24 @@ def _report_bytes(report):
             [fields(d) for d in report.diagnostics])
 
 
-def _inner_fields(report):
-    """Each theta's final_inner and each fallback-stage bound, which is
-    built from it: the two fields that carry the coverage gradient's own
-    rounding."""
-    return (np.array([r.final_inner for r in report.per_theta]),
-            np.array([d.bound for d in report.diagnostics
-                      if d.name == "fallback-stage-bound"]))
+VALUE_FIELDS = ("x_value", "y1_value", "z_value", "final_inner")
 
 
-def _report_bytes_but_inner(report):
-    """``_report_bytes`` with the two ``_inner_fields`` left out."""
+def _value_fields(report):
+    """Each theta's value fields, and each diagnostic's value and bound,
+    which are built from them: the fields that carry the coverage kernels'
+    own rounding."""
+    return (np.array([[getattr(r, v) for v in VALUE_FIELDS] for r in report.per_theta]),
+            np.array([[d.value, d.bound] for d in report.diagnostics]))
+
+
+def _report_bytes_but_values(report):
+    """``_report_bytes`` with the ``_value_fields`` left out."""
     return _report_bytes(dataclasses.replace(
         report,
-        per_theta=[dataclasses.replace(r, final_inner=None) for r in report.per_theta],
-        diagnostics=[dataclasses.replace(d, bound=None)
-                     if d.name == "fallback-stage-bound" else d
+        per_theta=[dataclasses.replace(r, **dict.fromkeys(VALUE_FIELDS))
+                   for r in report.per_theta],
+        diagnostics=[dataclasses.replace(d, value=None, bound=None)
                      for d in report.diagnostics]))
 
 
@@ -678,9 +680,9 @@ def test_batch_kernels_solve_as_the_reference_kernels(body, monkeypatch):
     # a desk solve with the coverage kernels and the vectorised oracle fill,
     # and again with the dense coverage kernels and the per-row walk they
     # replace.  The oracle reads only the order of the gradient's entries,
-    # so every point, value and flag is the same, byte for byte; final_inner
-    # and the fallback bound built from it carry the log-domain gradient's
-    # rounding, within a relative 1e-12 of final_inner and 1e-12 OPT
+    # so every point, best_* and flag is the same, byte for byte; the value
+    # fields and the bounds built from them carry the log-domain kernels'
+    # rounding, within 1e-12 OPT, and final_inner within a relative 1e-12
     inst = sm.gen("coverage", 12, body, 5)
     f, C = inst.build()
     _, opt = sm.brute_force_opt(f, C)
@@ -693,11 +695,12 @@ def test_batch_kernels_solve_as_the_reference_kernels(body, monkeypatch):
                         reference_greedy_fill(C, W, plan.caps.ravel()))
     f, C = inst.build()
     ref = sm.solve(f, C, RunConfig(), opt)
-    assert _report_bytes_but_inner(got) == _report_bytes_but_inner(ref)
+    assert _report_bytes_but_values(got) == _report_bytes_but_values(ref)
     assert [d.passed for d in got.diagnostics] == [d.passed for d in ref.diagnostics]
-    (inner, bound), (ref_inner, ref_bound) = _inner_fields(got), _inner_fields(ref)
-    assert np.all(np.abs(inner - ref_inner) <= 1e-12 * np.abs(ref_inner))
-    assert np.all(np.abs(bound - ref_bound) <= 1e-12 * opt)
+    (values, diag), (ref_values, ref_diag) = _value_fields(got), _value_fields(ref)
+    assert np.all(np.abs(values[:, :3] - ref_values[:, :3]) <= 1e-12 * opt)
+    assert np.all(np.abs(values[:, 3] - ref_values[:, 3]) <= 1e-12 * np.abs(ref_values[:, 3]))
+    assert np.all(np.abs(diag - ref_diag) <= 1e-12 * opt)
 
 
 # sha256 of repr(_report_bytes(report)) for a solve of gen(kind, 8, body, 5)
@@ -711,11 +714,11 @@ PINNED_DIGESTS = {
     ("directed-cut", "knapsack"):
         "54867a319dbbf3b88356a767d12a5bd31b8985e4999c312a72f574de7836a678",
     ("coverage", "cardinality"):
-        "83228b3479173a1e9553609a1e1255ddcf8dd52cd45a0859a1648e7a465347c5",
+        "95755fdbb3815cc96effffcee5666ae47c4ddca08a7812568dd13a5cc08276e4",
     ("coverage", "partition-matroid"):
-        "596de38847449c3bd1f75a8d73bc736c66ec7845772bc9e8daa03d7cf3bfe813",
+        "cfa82ca716c48d9fa0729542b4e269dd2ed9421544782b0ff8aebeeec70b8474",
     ("coverage", "knapsack"):
-        "02f0e4752e4f7bd4865a86c8e7791fde9279f98c6fa4ed1b7e95d34fbc7c73a8",
+        "0b632485d1b40e94763b97cf10f6b91ebd75e00c3967548c193b6f594ada3cca",
     ("explicit-table", "cardinality"):
         "b6a74efe54e26eb80a12ac856c67af3e78101bdc783fdef3a48354642dc324a7",
     ("explicit-table", "partition-matroid"):
@@ -736,7 +739,7 @@ def test_solve_outputs_match_their_pinned_digests(kind, body):
 # sha256 over repr(_report_bytes(report)) of every solve of desk corpus 1, in
 # corpus order, at the default run with the brute-force optimum, so that the
 # diagnostics are covered too
-DESK_CORPUS_1_DIGEST = "b2a158481aee949b2c5210f368a8f871eb8d76dec5d527e50e10cd7402d6fb6e"
+DESK_CORPUS_1_DIGEST = "c359a5540a850ecdbb25d3689ce9b4bf5ebe945b2ed5e5f115939d8cce7ba91a"
 
 
 def test_desk_corpus_solves_match_their_pinned_digest():
@@ -746,3 +749,26 @@ def test_desk_corpus_solves_match_their_pinned_digest():
         _, opt = sm.brute_force_opt(f, C)
         digest.update(repr(_report_bytes(sm.solve(f, C, RunConfig(), opt))).encode())
     assert digest.hexdigest() == DESK_CORPUS_1_DIGEST
+
+
+def _scaled(inst, c):
+    """The instance with every weight of its function multiplied by c."""
+    fn = dict(inst.function)
+    if "arcs" in fn:
+        fn["arcs"] = [[a, b, w * c] for a, b, w in fn["arcs"]]
+    for key in ("item_weights", "values"):
+        if key in fn:
+            fn[key] = [w * c for w in fn[key]]
+    return dataclasses.replace(inst, function=fn)
+
+
+def test_scaling_the_weights_keeps_the_chosen_theta_and_branch():
+    # c f ties where f does: the tie rule is relative to the best value, so
+    # the last bits that rescaling moves do not pick another candidate
+    for inst in sm.desk_corpus(1):
+        picks = set()
+        for c in (1.0, 3.0, 1e-6):
+            report = sm.solve(*_scaled(inst, c).build(), RunConfig())
+            picks.add((report.best_theta, report.best_branch))
+        assert len(picks) == 1, inst.name
+

@@ -1,6 +1,7 @@
 """Instance documents, seeded generation, result records, and the CLI."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import re
@@ -710,3 +711,60 @@ def test_cli_solve_on_mutated_documents_exits_0_or_2(tmp_path_factory, doc):
     code = main(["solve", str(path), "--no-opt", "--delta", "0.25",
                  "--theta-grid", "0,0.25", "--out", str(path.with_suffix(".out"))])
     assert code in (0, 2)
+
+
+# Input fuzzing: one or two edits to n = 4 documents of every kind x body
+# cell either solve or fail with a typed SubmaxError, and submax solve
+# exits 0 or 2
+
+_EDITS = [True, False, None, "x", "", [], 1e308, -1e308, 2**70, 5e-324,
+          -5e-324, 1e-310, "delete"]
+
+
+@st.composite
+def edited_documents(draw):
+    kind = draw(st.sampled_from(FUNCTION_KINDS))
+    body = draw(st.sampled_from(CONSTRAINT_KINDS))
+    doc = json.loads(sm.gen(kind, 4, body, draw(st.integers(0, 3))).to_json())
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from([path for path, _ in _locations(doc)]))
+        parent, key = reduce(getitem, path[:-1], doc), path[-1]
+        edit = draw(st.sampled_from(_EDITS))
+        if edit == "delete":
+            del parent[key]
+        else:
+            parent[key] = edit
+    return doc
+
+
+@given(doc=edited_documents())
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_edited_documents_solve_or_raise_a_typed_error(tmp_path_factory, doc):
+    text = json.dumps(doc)
+    try:
+        f, C = sm.InstanceFile.from_json(text).build()
+        sm.solve(f, C, sm.RunConfig(delta=0.25, theta_grid=(0.0, 0.25)))
+    except sm.SubmaxError:
+        pass
+    path = tmp_path_factory.mktemp("edit") / "inst.json"
+    path.write_text(text)
+    code = main(["solve", str(path), "--no-opt", "--delta", "0.25",
+                 "--theta-grid", "0,0.25", "--out", str(path.with_suffix(".out"))])
+    assert code in (0, 2)
+
+
+def test_every_traced_name_is_where_the_tracer_wraps_it(monkeypatch):
+    # the benchmark's tracer wraps each (owner, attribute) it lists in the
+    # owner's own namespace and only names a missing one on stderr, so a
+    # refactor that moved, say, value_batch into SetFunction would silently
+    # lose its spans; the tracer is loaded from its source, writing nothing
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = tracer._targets()
+    assert len(targets) == 19
+    assert [f"{owner.__name__}.{attr}" for owner, attr, *_ in targets
+            if attr not in vars(owner)] == []

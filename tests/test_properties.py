@@ -127,7 +127,7 @@ def test_monte_carlo_consistency_small():
         x = rng.random(n)
         cfg = sm.EstimatorConfig(mode="mc", sample_count=20_000,
                                  rng_seed=int(rng.integers(2**32)))
-        samples = sm.setfn._vertex_values(f, sm.setfn._uniforms(f.n, cfg) < x)
+        samples = f._vertex_values(sm.setfn._uniforms(f.n, cfg) < x)
         exact = sm.multilinear(f, x)
         stderr = samples.std(ddof=1) / np.sqrt(samples.size)
         if stderr > 0 and abs(samples.mean() - exact) > 4.0 * stderr:

@@ -13,7 +13,8 @@ from submax.setfn import one_coordinate_gradient
 
 from helpers import (brute_force_extension, random_coverage, random_cut,
                      random_table_function, reference_coverage_batch,
-                     reference_coverage_grad, reference_coverage_partial)
+                     reference_coverage_grad, reference_coverage_partial,
+                     reference_coverage_values)
 
 EXACT = EstimatorConfig(mode="exact")
 CLOSED = EstimatorConfig(mode="closed")
@@ -249,22 +250,50 @@ class TestBatchGradient:
             assert g.tobytes() == sm.gradient(f, x, cfg).tobytes()
 
 
-class TestCoverageOwnerTable:
-    """The coverage extension and partial kernels read the (d, m) owner
-    table and equal the dense kernels over the (n, m) incidence matrix
-    (tests/helpers.py) byte for byte."""
+class TestCoverageIncidence:
+    """Coverage holds its incidence once, item-major, with ``A`` its float
+    transpose, and its extension answers each row on its own."""
 
-    def test_table_lists_each_items_owners_in_order(self):
+    def test_incidence_is_item_major_and_A_its_float_transpose(self):
         f = sm.Coverage(3, [[0, 2], [], [0, 1, 2]], [1.0, 2.0, 3.0, 4.0])
-        assert f.owners.tolist() == [[0, 2, 0, 3], [2, 3, 2, 3]]
+        assert f.incidence.tolist() == [[True, False, True], [False, False, True],
+                                        [True, False, True], [False, False, False]]
+        assert f.A.flags.c_contiguous and f.A.dtype == float
+        assert np.array_equal(f.A, f.incidence.T)
 
     def test_batch_rows_cross_blocks(self):
-        # 2^21 / (n m) = 436 rows per block, so 1000 rows span three blocks
+        # each extension row is its one-row call, byte for byte, wherever a
+        # 1000-row batch is cut, and each fixed block of MASK_BLOCK rows of
+        # f on sets answers as that block alone
         rng = np.random.default_rng(77)
         f = random_coverage(rng, 40, 120)
         X = rng.random((1000, 40))
         X[rng.random(X.shape) < 0.1] = 1.0
-        assert f.closed_form_batch(X).tobytes() == reference_coverage_batch(f, X).tobytes()
+        got = f.closed_form_batch(X)
+        assert got.tobytes() == np.concatenate(
+            [f.closed_form_batch(X[:436]), f.closed_form_batch(X[436:])]).tobytes()
+        for r in (0, 435, 436, 999):
+            assert got[r:r + 1].tobytes() == f.closed_form_batch(X[r:r + 1]).tobytes()
+        assert np.all(np.abs(got - reference_coverage_batch(f, X))
+                      <= COVERAGE_GRAD_RTOL * f.item_weights.sum())
+        block = sm.setfn.MASK_BLOCK
+        R = rng.random((2 * block + 100, 40)) < 0.3
+        vals = f._vertex_values(R)
+        for lo in (0, block, 2 * block):
+            assert (vals[lo:lo + block].tobytes()
+                    == f._vertex_values(R[lo:lo + block]).tobytes())
+
+    @pytest.mark.parametrize("n", [1, 12, 40, 62])
+    def test_vertex_values_match_the_reference(self, n):
+        # f on random 0/1 rows, summed over the items each row covers, and
+        # the same sets through their bitmasks
+        rng = np.random.default_rng(n)
+        f = random_coverage(rng, n)
+        R = rng.random((3000, n)) < rng.random((3000, 1))
+        masks = R @ (np.int64(1) << np.arange(n))
+        ref = reference_coverage_values(f, masks)
+        assert np.all(np.abs(f._vertex_values(R) - ref) <= 1e-15 * f.item_weights.sum())
+        assert np.array_equal(f.value_batch(masks), f._vertex_values(R))
 
 
 @pytest.mark.parametrize("weight, ok", [(1e308, False), (5e307, True)])
@@ -293,9 +322,10 @@ COVERAGE_GRAD_RTOL = 1e-12
 def test_coverage_kernels_match_the_dense_references(seed, n, m, R, density):
     # items nobody covers, an item every element covers, and points with
     # exact 0.0 and 1.0 entries and entries 1 - 2^-k next to 1.0: the
-    # gradient within a relative tolerance with the same zeros, each batch
-    # row as its one-point call gives it, the batch and the partials byte
-    # for byte
+    # gradient and the partials within a relative tolerance with the same
+    # zeros, the extension within the tolerance times the total weight, and
+    # every row of the three kernels as its one-row call gives it, byte for
+    # byte
     rng = np.random.default_rng(seed)
     inc = rng.random((n, m)) < density
     if m:
@@ -313,27 +343,43 @@ def test_coverage_kernels_match_the_dense_references(seed, n, m, R, density):
     assert np.all(np.abs(G - ref) <= COVERAGE_GRAD_RTOL * ref)
     for x, g in zip(X, G):
         assert g.tobytes() == f.closed_form_grad(x).tobytes()
-    assert f.closed_form_batch(X).tobytes() == reference_coverage_batch(f, X).tobytes()
+    F = f.closed_form_batch(X)
+    assert np.all(np.abs(F - reference_coverage_batch(f, X))
+                  <= COVERAGE_GRAD_RTOL * f.item_weights.sum())
+    for r in range(R):
+        assert F[r:r + 1].tobytes() == f.closed_form_batch(X[r:r + 1]).tobytes()
     for i in range(n):
-        assert (f.closed_form_partial(i, X).tobytes()
-                == reference_coverage_partial(f, i, X).tobytes())
+        D, ref = f.closed_form_partial(i, X), reference_coverage_partial(f, i, X)
+        assert np.array_equal(D == 0.0, ref == 0.0)
+        assert np.all(np.abs(D - ref) <= COVERAGE_GRAD_RTOL * ref)
+        for r in range(R):
+            assert D[r:r + 1].tobytes() == f.closed_form_partial(i, X[r:r + 1]).tobytes()
+
+
+def _peak_bytes(call, *args):
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_coverage_gradient_memory_does_not_grow_with_the_degrees():
     # 52 rows of a generated n = 400 coverage (800 items of about 120 owners
     # each), with the incidence matrix A built as at every call after the
     # first: (rows, 2, items) products, not a (rows, n, items) gather, which
-    # peaked at 274 MB
+    # peaked at 274 MB for the gradient and 5.9 MB for the extension; and
+    # f on 100,000 sets in blocks of MASK_BLOCK rows, not the extension of
+    # every row at once, which peaked at 618 MB
     f, _ = sm.gen("coverage", 400, "cardinality", 0).build()
-    X = np.random.default_rng(0).random((52, 400))
+    rng = np.random.default_rng(0)
+    X = rng.random((52, 400))
     f.A
-    tracemalloc.start()
-    try:
-        f.closed_form_grad(X)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 << 20
+    assert _peak_bytes(f.closed_form_grad, X) < 4 << 20
+    assert _peak_bytes(f.closed_form_batch, X) < 2 << 20
+    R = rng.integers(0, 2, size=(100_000, 400), dtype=np.uint8).view(bool)
+    assert _peak_bytes(f._vertex_values, R) < 32 << 20
 
 
 class TestPointShape:
@@ -555,8 +601,8 @@ class TestMonteCarlo:
                 hi[:, i] = True
                 lo = R.copy()
                 lo[:, i] = False
-                want[i] = (sm.setfn._vertex_values(f, hi).mean()
-                           - sm.setfn._vertex_values(f, lo).mean())
+                want[i] = (f._vertex_values(hi).mean()
+                           - f._vertex_values(lo).mean())
             assert np.array_equal(sm.gradient(f, x, cfg), want)
 
     def test_batch_rows_share_one_draw(self):
@@ -566,8 +612,8 @@ class TestMonteCarlo:
         cfg = EstimatorConfig(mode="mc", sample_count=3000, rng_seed=5)
         vals = sm.multilinear_batch(f, np.stack([x, x, y]), cfg)
         U = sm.setfn._uniforms(f.n, cfg)
-        assert vals[0] == vals[1] == sm.setfn._vertex_values(f, U < x).mean()
-        assert vals[2] == sm.setfn._vertex_values(f, U < y).mean()
+        assert vals[0] == vals[1] == f._vertex_values(U < x).mean()
+        assert vals[2] == f._vertex_values(U < y).mean()
         assert sm.multilinear(f, x, cfg) == vals[0]
 
 
