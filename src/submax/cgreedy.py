@@ -8,11 +8,15 @@ complement s = 1 - x as s <- s o (1 - delta*v).  Stage two continues
 from x(theta) with the uncapped oracle until time 1, giving the greedy
 candidate y(1).  The fallback recomputes the oracle direction at x(theta)
 *without* the cap, giving p, and runs double greedy over the box [0, p] to
-extract z.  The best candidate over all theta and both branches wins; one
-that beats another by no more than ``TIE_RTOL`` of its value ties with it,
-and the first in grid order, greedy before double greedy, keeps the place.
-Thetas that switch into the same box share its z: a solve runs double
-greedy, and evaluates F(z), once per distinct p.
+extract z.  For a monotone family (``SetFunction.monotone``, so coverage)
+every partial is nonnegative, so the double greedy's clipped gain b'_i is 0
+at every coordinate and it would return p: the fallback is p itself, and
+the double greedy is not run.  The best candidate over all theta and both
+branches wins; one that beats another by no more than ``TIE_RTOL`` of its
+value ties with it, and the first in grid order, greedy before double
+greedy, keeps the place.
+Thetas that switch into the same box share its z: a solve runs the
+fallback, and evaluates F(z), once per distinct p.
 
 The cap slows the growth of ||x||_inf, so the discrete envelopes
 
@@ -160,7 +164,18 @@ def _step(C: Polytope, run: RunConfig, S: np.ndarray, V: np.ndarray,
 
 
 def _fallback(f: SetFunction, cfg: EstimatorConfig, p: Point) -> Point:
-    """The double greedy solution z over the box [0, p]."""
+    """The double greedy solution z over the box [0, p]; for a monotone
+    family, p itself.
+
+    Monotone F has dF/dx_i >= 0 everywhere, so the double greedy's
+    b_i = -(p_i - 0) * dF/dx_i(hi) <= 0 and b'_i = max(b_i, 0) = 0: each
+    coordinate moves to hi_i = p_i, and z = p.  In closed mode this holds
+    byte for byte, as ``Coverage.closed_form_partial`` sums nonnegative
+    terms.  In exact mode rounding in the four extension rows could leave a
+    coordinate a hair below p_i; returning p then can only raise F, since F
+    is monotone and p is the box's top corner, so F(p) is the box optimum."""
+    if f.monotone:
+        return p
     box_cfg = cfg if cfg.mode != "mc" else default_config(f)
     return double_greedy_box(BoxInstance(f, Point.zeros(f.n), p, box_cfg))
 

@@ -18,6 +18,9 @@ where it is.  The returned point x satisfies
 
     F(x) >= 1/2 F(box optimum) + 1/4 F(u) + 1/4 F(v).
 
+For monotone F every b_i <= 0, so on a box [0, v] each coordinate ends at
+v_i and the point is v itself.
+
 Sampled evaluation is rejected here: the per-step inequalities behind the
 guarantee are exact statements and Monte Carlo noise would break them.
 """

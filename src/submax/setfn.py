@@ -250,6 +250,9 @@ class SetFunction:
 
     kind = "abstract"
     has_closed_form = False
+    # True only where every f in the family is monotone (f(S) <= f(T) for
+    # S within T); a family opts in, so the default makes no claim
+    monotone = False
 
     def __init__(self, n: int):
         self.n = _positive_int(n, "ground set size")
@@ -477,6 +480,7 @@ class Coverage(SetFunction):
 
     kind = "coverage"
     has_closed_form = True
+    monotone = True  # the item weights are checked nonnegative
 
     def __init__(self, n: int, covers, item_weights):
         super().__init__(n)

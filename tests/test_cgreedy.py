@@ -431,17 +431,21 @@ class TestSinglePassSweep:
             assert r.y1.v.tobytes() == y1.v.tobytes(), r.theta
 
 
+# the default run in closed mode; exact and mc modes on a coarser grid, to
+# keep them fast
+_MODE_RUNS = pytest.mark.parametrize("run", [RunConfig()] + [
+    RunConfig(delta=0.05, theta_grid=tuple(np.round(np.linspace(0.0, 1.0, 21), 10)),
+              cfg=cfg)
+    for cfg in (EstimatorConfig(mode="exact"),
+                EstimatorConfig(mode="mc", sample_count=200, rng_seed=7))
+], ids=["closed", "exact", "mc"])
+
+
 class TestOneFallbackPerBox:
-    # the default run in closed mode; exact and mc modes on a coarser grid,
-    # to keep them fast
-    @pytest.mark.parametrize("run", [RunConfig()] + [
-        RunConfig(delta=0.05, theta_grid=tuple(np.round(np.linspace(0.0, 1.0, 21), 10)),
-                  cfg=cfg)
-        for cfg in (EstimatorConfig(mode="exact"),
-                    EstimatorConfig(mode="mc", sample_count=200, rng_seed=7))
-    ], ids=["closed", "exact", "mc"])
+    @_MODE_RUNS
     def test_one_double_greedy_per_distinct_box(self, monkeypatch, run):
-        f, C = sm.gen("coverage", 12, "knapsack", 5).build()
+        # a cut is not monotone, so its fallback runs double greedy
+        f, C = sm.gen("directed-cut", 12, "knapsack", 5).build()
         cfg = run.resolve_cfg(f)
         boxes = []
         inner = cgreedy.double_greedy_box
@@ -456,7 +460,7 @@ class TestOneFallbackPerBox:
         assert sorted(boxes) == sorted(distinct)
         assert len(distinct) < len(report.per_theta)  # thetas share boxes
         if cfg.mode == "closed":
-            assert len(distinct) == 5
+            assert len(distinct) == 4
         # each theta's box, solution and value are the per-theta fallback's;
         # in mc mode p comes from stage one's gradient sub-stream at x(theta)
         for r in report.per_theta:
@@ -466,6 +470,22 @@ class TestOneFallbackPerBox:
             assert r.z.v.tobytes() == z.v.tobytes(), r.theta
             assert np.float64(r.z_value).tobytes() \
                 == np.float64(sm.multilinear(f, z, cfg)).tobytes(), r.theta
+
+    @_MODE_RUNS
+    def test_a_monotone_fallback_is_its_box_top_corner(self, monkeypatch, run):
+        # coverage is monotone: its fallback is p itself, with no double greedy
+        f, C = sm.gen("coverage", 12, "knapsack", 5).build()
+        cfg = run.resolve_cfg(f)
+
+        def refuse(inst):
+            raise AssertionError("double greedy ran on a monotone function")
+
+        monkeypatch.setattr(cgreedy, "double_greedy_box", refuse)
+        report = sm.solve(f, C, run)
+        for r in report.per_theta:
+            assert r.z.v.tobytes() == r.p.v.tobytes(), r.theta
+            assert np.float64(r.z_value).tobytes() \
+                == np.float64(sm.multilinear(f, r.p, cfg)).tobytes(), r.theta
 
 
 def _identity_gradient(self, x):

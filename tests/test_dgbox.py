@@ -299,3 +299,50 @@ class TestOnePointCoordinates:
             assert sum(rows) == 4 * open_coords.size
             assert run.point.v.tobytes() == point.tobytes()
             assert run.a.tolist() == a.tolist() and run.b.tolist() == b.tolist()
+
+
+def corner_box(rng, n):
+    """A box [0, p] as a solve builds it: p in [0, 1]^n with exact 0s and 1s."""
+    p = rng.random(n)
+    p[rng.random(n) < 0.2] = 0.0
+    p[rng.random(n) < 0.2] = 1.0
+    return Point.zeros(n), Point(p)
+
+
+class TestMonotoneTopCorner:
+    """On a monotone function every b_i <= 0, so double greedy over [0, p]
+    returns p: the fact behind the solver's skipped fallback for coverage."""
+
+    @pytest.mark.parametrize("cfg", [CLOSED, EXACT], ids=["closed", "exact"])
+    def test_coverage_returns_p_byte_for_byte(self, cfg):
+        rng = np.random.default_rng(77)
+        for _ in range(150):
+            n = int(rng.integers(3, 11))
+            f = random_coverage(rng, n)
+            u, v = corner_box(rng, n)
+            run = sm.double_greedy_box_run(BoxInstance(f, u, v, cfg))
+            assert run.point.v.tobytes() == v.v.tobytes()
+            assert np.all(run.b <= 0.0)
+
+    @pytest.mark.parametrize("n", [50, 100, 200, 400])
+    def test_coverage_returns_p_at_scale(self, n):
+        rng = np.random.default_rng(78 + n)
+        f = random_coverage(rng, n)
+        for _ in range(5):
+            u, v = corner_box(rng, n)
+            run = sm.double_greedy_box_run(BoxInstance(f, u, v, CLOSED))
+            assert run.point.v.tobytes() == v.v.tobytes()
+
+    @pytest.mark.parametrize("cfg", [CLOSED, EXACT], ids=["closed", "exact"])
+    def test_a_cut_box_moves_off_p(self, cfg):
+        # the control: on a non-monotone function the same boxes do not all
+        # return p, so the test above tells the two families apart
+        rng = np.random.default_rng(79)
+        moved = 0
+        for _ in range(20):
+            n = int(rng.integers(3, 11))
+            f = random_cut(rng, n)
+            u, v = corner_box(rng, n)
+            run = sm.double_greedy_box_run(BoxInstance(f, u, v, cfg))
+            moved += run.point.v.tobytes() != v.v.tobytes()
+        assert moved > 0

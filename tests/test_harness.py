@@ -74,6 +74,20 @@ class TestGeneration:
             inst = sm.gen("directed-cut", 8, "cardinality", seed)
             assert not is_monotone(inst.build_function())
 
+    def test_monotone_flag_matches_the_truth(self):
+        # the solver skips the double greedy where the flag is set, so a
+        # flagged family must be monotone on every instance, and an unflagged
+        # one shows instances that are not
+        assert sm.SetFunction.monotone is False  # a new family must opt in
+        assert sm.Coverage.monotone is True
+        assert sm.DirectedCut.monotone is False
+        assert sm.ExplicitTable.monotone is False
+        for kind in FUNCTION_KINDS:
+            fs = [sm.gen(kind, 8, "cardinality", seed).build_function()
+                  for seed in range(4)]
+            truth = [is_monotone(f) for f in fs]
+            assert all(truth) if fs[0].monotone else not all(truth), kind
+
     @pytest.mark.parametrize("constraint", ["cardinality", "partition-matroid",
                                             "knapsack"])
     def test_gen_builds_no_subset_table(self, monkeypatch, constraint):

@@ -265,6 +265,21 @@ class TestPropertySuite:
         check = {r.name: r for r in sm.verify.solver_checks(f, C, run)}[name]
         assert not check.passed
 
+    def test_checks_still_run_double_greedy_on_coverage(self, monkeypatch):
+        # the solver skips coverage's double greedy; the checks do not, so
+        # the fact the skip rests on stays under test
+        f, C = sm.gen("coverage", 8, "knapsack", 3).build()
+        calls = []
+        inner = sm.verify.double_greedy_box_run
+        monkeypatch.setattr(sm.verify, "double_greedy_box_run",
+                            lambda inst: calls.append(inst) or inner(inst))
+        results = sm.verify.dgbox_checks(f, np.random.default_rng(0), boxes=4)
+        assert len(calls) == 4
+        assert all(r.passed for r in results), [r.line() for r in results]
+        run = sm.RunConfig(delta=0.05, theta_grid=(0.0, 0.2, 0.5, 1.0))
+        check = sm.verify.fallback_box_check(f, sm.solve(f, C, run))
+        assert check.passed, check.line()
+
     @pytest.mark.parametrize("mutate", [_halve_y1, _halve_fill],
                              ids=["halved-y1", "halved-oracle-fill"])
     def test_bound_line_catches_a_weakened_branch(self, monkeypatch, mutate):
