@@ -6,7 +6,10 @@ y <= x in C implies y in C.  Every body is a set of disjoint packing rows
 matroid one unit-cost row per block, a knapsack one row with its own costs.
 One oracle serves all three: ``linear_maximize(w, alpha)`` solves
 max <w, c>  over c in C, ||c||_inf <= alpha  exactly, by a fractional-knapsack
-greedy per row; the cap alpha is a plain number in (0, 1].
+greedy per row; the cap alpha is a plain number in (0, 1].  A packing row
+fills at the cap, best w/cost first, up to its first place the budget left
+cannot fill, which takes left / cost and ends the row: at most one place per
+packing row lies strictly between 0 and the cap, as at a vertex of the LP.
 ``contains_point`` tests membership of a fractional point; each body's
 ``contains_mask_batch`` tests integer sets for the brute-force oracle, in
 blocks of ``setfn.MASK_BLOCK`` masks, so that it holds one block's rows at a
@@ -42,11 +45,10 @@ general path:
   first and ties to the lower index.  A fill of alpha costs alpha * 1 =
   alpha and left / 1 = left, so the budget left before each place is
   budget - alpha - alpha - ... without a product, and nothing can
-  overflow.  The first place with less than alpha left takes all of it,
-  min(left, alpha) * 1 = left, so no rounding leftover carries on: every
-  fill is the left budget clipped to [0, alpha] at a positive weight; the
-  plan holds these clipped budgets, so the fill is the plan's table times
-  (sorted w > 0).  Membership adds x_i where the general path adds
+  overflow.  The first place with less than alpha left takes all of it, so
+  every fill is the left budget clipped to [0, alpha] at a positive weight;
+  the plan holds these clipped budgets, so the fill is the plan's table
+  times (sorted w > 0).  Membership adds x_i where the general path adds
   x_i * 1.0 = x_i.
 - ``ident``: one packing row over 0..n-1 in order and no dummy places
   (cardinality, a knapsack).  The places are the coordinates, so the
@@ -103,14 +105,11 @@ class _Plan(NamedTuple):
     offsets: np.ndarray       # each sorted row's first flat place in the batch
     table: np.ndarray | None  # unit costs: the (R, rows, g) fill of each sorted
     #                           place at a positive weight
-    costs: np.ndarray | None  # other costs: each place's cost, (R, rows * g)
 
     def head(self, R: int) -> "_Plan":
         """The plan of the batch's first R rows: every field is per row."""
-        table, costs = self.table, self.costs
-        return _Plan(self.caps[:R], self.offsets[:R],
-                     None if table is None else table[:R],
-                     None if costs is None else costs[:R])
+        table = self.table
+        return _Plan(self.caps[:R], self.offsets[:R], None if table is None else table[:R])
 
 
 class Polytope:
@@ -177,26 +176,27 @@ class Polytope:
         g = grid.coords.size // S
         a = caps.reshape(R, 1, 1)
         if not grid.unit:  # one sorted row per batch row
-            return _Plan(a, np.arange(0, R * S * g, S * g)[:, None], None,
-                         np.tile(grid.costs, (R, 1)))
+            return _Plan(a, np.arange(0, R * S * g, S * g)[:, None], None)
         rem = np.empty((R, S, g + 1))
         rem[:, :, 0] = grid.budgets
         rem[:, :, 1:] = a
         np.subtract.accumulate(rem, axis=2, out=rem)
         table = np.minimum(rem[:, :, :-1], a)
         np.maximum(table, 0.0, out=table)
-        return _Plan(a, np.arange(0, R * S * g, g).reshape(R, S, 1), table, None)
+        return _Plan(a, np.arange(0, R * S * g, g).reshape(R, S, 1), table)
 
     def _greedy_fill(self, W: np.ndarray, plan: _Plan) -> np.ndarray:
         # The capped fractional-knapsack greedy on every packing row of every
         # batch row r: take the entries by w/cost descending, filling
         # min(alpha_r, remaining/cost) until the budget or the positive
-        # weights run out.  One stable sort per batch row ranks every packing
-        # row at once, positive weights first, ties to the lower index.  No
-        # Python loop walks the entries: every packing row of the batch is
-        # one row of an (R, rows, g) array of places in that order.  W, an
-        # (R, n) batch of the plan's shape, is only read, never written; its
-        # finiteness is checked here, on every call.
+        # weights run out, or a fill falls below alpha_r, so each packing
+        # row has at most one fractional place.  One stable sort per batch
+        # row ranks every packing row at once, positive weights first, ties
+        # to the lower index.  No Python loop walks the entries: every
+        # packing row of the batch is one row of an (R, rows, g) array of
+        # places in that order.  W, an (R, n) batch of the plan's shape, is
+        # only read, never written; its finiteness is checked here, on every
+        # call.
         if not np.abs(W).max() < np.inf:
             raise ValueError("weights must be finite")
         grid = self._grid
@@ -223,9 +223,9 @@ class Polytope:
             m, e = np.frexp(mw / grid.neg_mc)
             pos = wr > 0
             order = np.lexsort((m, np.where(pos, grid.origin - ew - e, grid.end)), axis=1)
+            c = grid.costs.take(order).reshape(R, S, g)
             order += plan.offsets
             pos = pos.take(order).reshape(R, S, g)
-            c = plan.costs.take(order).reshape(R, S, g)
             a = plan.caps
             rem = np.empty((R, S, g + 1))
             rem[:, :, 0] = grid.budgets
@@ -241,30 +241,15 @@ class Polytope:
                 ratio = left / c
                 # upto[..., t] holds where places 0..t-1 all fill at the cap,
                 # so places up to the first below the cap take min(alpha_r,
-                # what is left over its cost) while some is left
+                # what is left over its cost) while some is left, and the
+                # first below the cap ends its packing row.  What it leaves,
+                # left - (left / c) * c, is a rounding error of left and goes
+                # unused; only where left / c underflows is it more, and
+                # there the objective lost is at most (w / c) * left
                 upto[:, :, 0] = True
                 np.logical_and(pos, ratio >= a, out=upto[:, :, 1:])
                 np.logical_and.accumulate(upto, axis=2, out=upto)
-                take = upto[:, :, :-1] & pos & (left > 0)
-                np.minimum(ratio, a, out=fills, where=take)
-                # a positive leftover from the rounding of the partial fill
-                # carries on to the next place of its packing row
-                part = take ^ upto[:, :, 1:]
-                part &= left > fills * c
-                q = np.flatnonzero(part)
-                if q.size:
-                    # the greedy itself, one place at a time over the packing
-                    # rows that carry, at flat places q up to their row's end
-                    flat_c, flat_pos, flat_fills = c.ravel(), pos.ravel(), fills.ravel()
-                    left = rem.reshape(-1, g + 1)[q // g, q % g] - flat_fills[q] * flat_c[q]
-                    q, stop, aq = q + 1, (q // g + 1) * g, a.ravel()[q // (S * g)]
-                    while q.size:
-                        go = (left > 0) & (q < stop) & flat_pos.take(q, mode="clip")
-                        q, stop, left, aq = q[go], stop[go], left[go], aq[go]
-                        cq = flat_c[q]
-                        flat_fills[q] = fill = np.minimum(left / cq, aq)
-                        left = left - fill * cq
-                        q = q + 1
+                np.minimum(ratio, a, out=fills, where=upto[:, :, :-1] & pos & (left > 0))
         unsorted = np.empty((R, S * g))
         unsorted.ravel()[order] = fills.reshape(order.shape)
         return unsorted if grid.ident else unsorted.take(grid.entry, axis=1)

@@ -42,12 +42,13 @@ body's ``contains_mask_batch``, and so brute force and ``full_table``) are
 evaluated in blocks of ``MASK_BLOCK`` rows (``_blocks``), so a call holds
 one block's rows at a time: at n = 16 every mask call peaks under 2 MB
 (tracemalloc), where one product over the whole batch took up to 222 MB.
-The blocks keep the bytes of that one product.  A matrix-vector product
-rounds a row by its place in the call, so the block size is fixed, and a
-lone last row joins the block before it (numpy multiplies a one-row matrix
-as a dot product).  A cut's gathered columns are copied into a C-ordered
-float matrix: the gather is F-ordered, and BLAS multiplies that with
-another kernel.
+The blocks keep the bytes of that one product, but for a cut's set values
+at some sizes: at n = 17 and 20, some rows of a batch of 5,000 or more move
+in the last bit.  A matrix-vector product rounds a row by its place in the
+call, so the block size is fixed, and a lone last row joins the block
+before it (numpy multiplies a one-row matrix as a dot product).  A cut's
+gathered columns are copied into a C-ordered float matrix: the gather is
+F-ordered, and BLAS multiplies that with another kernel.
 """
 
 from __future__ import annotations
@@ -450,7 +451,10 @@ class DirectedCut(SetFunction):
         return out
 
     def _vertex_values(self, R: np.ndarray) -> np.ndarray:
-        return self.closed_form_batch(R.astype(float))
+        out = np.empty(len(R))
+        for lo, hi in _blocks(len(R)):
+            out[lo:hi] = self.closed_form_batch(R[lo:hi].astype(float))
+        return out
 
     def closed_form_batch(self, X: np.ndarray) -> np.ndarray:
         return np.einsum("ri,ri->r", X @ self.W, 1.0 - X)

@@ -280,11 +280,12 @@ def extension_checks(f: SetFunction, rng: np.random.Generator) -> list[CheckResu
 
 def oracle_checks(C: Polytope, rng: np.random.Generator,
                   trials: int = 50) -> list[CheckResult]:
-    """Feasibility, cap obedience, monotone dominance in alpha, and (for
-    n <= 6) agreement with the exhaustive LP vertex enumeration."""
+    """Feasibility, cap obedience, at most one fractional place per packing
+    row, monotone dominance in alpha, and (for n <= 6) agreement with the
+    exhaustive LP vertex enumeration."""
     out = []
     n = C.n
-    feas_ok = cap_ok = mono_ok = True
+    feas_ok = cap_ok = frac_ok = mono_ok = True
     lp_worst = 0.0
     for _ in range(trials):
         w = rng.normal(size=n)
@@ -292,6 +293,7 @@ def oracle_checks(C: Polytope, rng: np.random.Generator,
         c = C.linear_maximize(w, alpha)
         feas_ok &= C.contains_point(c)
         cap_ok &= c.norm_inf() <= alpha + 1e-12
+        frac_ok &= all(((c.v[i] > 0) & (c.v[i] < alpha)).sum() <= 1 for i, _, _ in C.rows)
         v_half = float(w @ C.linear_maximize(w, 0.5).v)
         v_full = float(w @ C.linear_maximize(w).v)
         mono_ok &= v_full >= v_half - 1e-12
@@ -299,6 +301,8 @@ def oracle_checks(C: Polytope, rng: np.random.Generator,
             lp_worst = max(lp_worst, abs(float(w @ c.v) - lp_brute_force(C, w, alpha)))
     out.append(CheckResult("oracle output feasible", feas_ok))
     out.append(CheckResult("oracle output obeys the cap", cap_ok))
+    out.append(CheckResult("oracle output has at most one fractional place per "
+                           "packing row", frac_ok))
     out.append(CheckResult("oracle objective monotone in alpha", mono_ok))
     if n <= 6:
         out.append(CheckResult("oracle matches LP vertex enumeration",

@@ -100,7 +100,8 @@ def reference_greedy_fill(C, W, alpha):
     output row as it goes: the path ``Polytope._greedy_fill`` must match
     byte for byte.  Each packing row is sorted on its own, positive weights
     first, then by w/cost descending as exact (exponent, mantissa) keys,
-    ties to the lower index."""
+    ties to the lower index, and ends at its first fill below the cap: what
+    that fill leaves of the budget is a rounding error, and goes unused."""
     out = np.zeros_like(W)
     for row, a, w in zip(out, alpha.tolist(), W):
         for idx, cost, remaining in C.rows:
@@ -113,8 +114,18 @@ def reference_greedy_fill(C, W, alpha):
                 if remaining <= 0 or wi <= 0:
                     break
                 row[i] = fill = min(a, remaining / ci)
+                if fill < a:
+                    break
                 remaining -= fill * ci
     return out
+
+
+def fractional_places(C, X, caps):
+    """The most places of one packing row of one row of the (R, n) batch X
+    that lie strictly between 0 and that row's cap."""
+    caps = np.reshape(caps, (-1, 1))
+    return max(int(((X[:, idx] > 0) & (X[:, idx] < caps)).sum(axis=1).max())
+               for idx, _, _ in C.rows)
 
 
 def reference_coverage_grad(f, x):

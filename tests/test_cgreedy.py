@@ -759,7 +759,7 @@ def test_solve_outputs_match_their_pinned_digests(kind, body):
 # sha256 over repr(_report_bytes(report)) of every solve of desk corpus 1, in
 # corpus order, at the default run with the brute-force optimum, so that the
 # diagnostics are covered too
-DESK_CORPUS_1_DIGEST = "c359a5540a850ecdbb25d3689ce9b4bf5ebe945b2ed5e5f115939d8cce7ba91a"
+DESK_CORPUS_1_DIGEST = "764615747986d375e2d4f2550064e3d2a39fd118d5d549cea9acc3bd70908455"
 
 
 def test_desk_corpus_solves_match_their_pinned_digest():

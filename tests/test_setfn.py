@@ -382,6 +382,19 @@ def test_coverage_gradient_memory_does_not_grow_with_the_degrees():
     assert _peak_bytes(f._vertex_values, R) < 32 << 20
 
 
+def test_cut_set_values_hold_one_block_at_a_time():
+    # f on 20,000 sets of an n = 400 cut, in blocks of MASK_BLOCK rows: the
+    # closed form over every row at once peaked at 183 MB.  The blocks keep
+    # the bytes of that one product, across blocks and on a lone last row
+    f, _ = sm.gen("directed-cut", 400, "cardinality", 0).build()
+    rng = np.random.default_rng(0)
+    f.W
+    R = rng.integers(0, 2, size=(20_000, 400), dtype=np.uint8).view(bool)
+    assert _peak_bytes(f._vertex_values, R) < 16 << 20
+    R = R[:2 * sm.setfn.MASK_BLOCK + 1]
+    assert f._vertex_values(R).tobytes() == f.closed_form_batch(R.astype(float)).tobytes()
+
+
 class TestPointShape:
     """The gradient takes one point of n coordinates and the extension one
     point or an (R, n) batch; both name n for anything else, in every mode."""
